@@ -11,11 +11,11 @@ photon A and the OAM of photon B.
 import math
 
 from oam_eraser.elements import FiberSpec, QPlateSpec, WavePlateSpec, apply_element
-from oam_eraser.experiment import SourceSpec, build_spdc_state
+from oam_eraser.experiment import SourceSpec, build_source_state
 from oam_eraser.hilbert import format_state, reduced_density
 
 source = SourceSpec(kind="spdc", l_max=1, spectrum="flat")
-state = build_spdc_state(source)
+state = build_source_state(source)
 print("source state (flat spectrum, |l| <= 1):")
 print(format_state(state))
 

@@ -48,7 +48,7 @@ from .experiment import (
     NullOutcomeError,
     ScanSeries,
     SourceSpec,
-    build_spdc_state,
+    build_source_state,
     causal_order_probability,
     coincidence_probability,
     conditional_grid,

@@ -16,8 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import elements as el
-from .hilbert import JointKet, apply_local, reduced_density
-from .experiment import ExperimentConfig, ScanSeries, theta_scan
+from .hilbert import JointKet, reduced_density
+from .experiment import (
+    ExperimentConfig,
+    ScanSeries,
+    analyzer_probabilities,
+    theta_scans,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,22 +145,27 @@ class VisibilityPoint:
     fit: FringeFit
 
 
-def fitted_visibility(config: ExperimentConfig, theta_points: int = 72):
-    """Visibility of the exact hologram scan, via the sinusoid fit."""
-    series = with_fit(theta_scan(config, points=theta_points))
-    return visibility(series), series.fit
+def visibility_points(alphas, series) -> list:
+    """Fitted visibility (of counts if present) of each scan at its angle."""
+    points = []
+    for alpha, scan in zip(alphas, series):
+        fit = fit_sinusoid(scan)
+        points.append(VisibilityPoint(float(alpha),
+                                      visibility(replace(scan, fit=fit)), fit))
+    return points
 
 
 def visibility_curve(config: ExperimentConfig, alphas,
                      theta_points: int = 72):
     """Fitted visibility of a hologram scan at each polarizer angle."""
-    points = []
-    for alpha in alphas:
-        cfg = replace(config,
-                      analyzer_a=replace(config.analyzer_a, alpha=float(alpha)))
-        vis, fit = fitted_visibility(cfg, theta_points)
-        points.append(VisibilityPoint(float(alpha), vis, fit))
-    return points
+    return visibility_points(alphas, theta_scans(config, alphas,
+                                                 points=theta_points))
+
+
+def fitted_visibility(config: ExperimentConfig, theta_points: int = 72):
+    """Visibility of the exact hologram scan, via the sinusoid fit."""
+    point, = visibility_curve(config, [config.analyzer_a.alpha], theta_points)
+    return point.visibility, point.fit
 
 
 def calibrate_extinction(config_builder, target_visibility: float,
@@ -197,16 +207,12 @@ def calibrate_extinction(config_builder, target_visibility: float,
 
 def oam_fringe_visibility(state: JointKet, ell: int, points: int = 72,
                           arm: str = "B") -> float:
-    """Visibility of the arm-B sector scan of a raw state (no polarizer)."""
-    spec = el.HologramSpec(ell=ell, arm=arm)
+    """Visibility of the sector scan of a raw state on one arm (no polarizer)."""
     thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
-    probs = []
-    for theta in thetas:
-        op = el.sector_projector(spec, float(theta))
-        after = apply_local(op, arm, state)
-        probs.append(min(sum(abs(a) ** 2 for a in after.amplitudes.values()), 1.0))
+    _, probs = analyzer_probabilities(state, None, el.HologramSpec(ell=ell, arm=arm),
+                                      (), thetas)
     series = ScanSeries("theta", tuple(float(t) for t in thetas),
-                        tuple(probs))
+                        tuple(float(p) for p in probs[0]))
     return visibility(with_fit(series, on="probabilities"))
 
 

@@ -62,16 +62,12 @@ def _scan_theta(args) -> int:
 def _scan_alpha(args) -> int:
     run = _load(args)
     config, scan = run.config, run.scan
-    points = []
-    for index, alpha in enumerate(scan.alphas()):
-        cfg = replace(config, analyzer_a=replace(config.analyzer_a,
-                                                 alpha=float(alpha)))
-        series = experiment.theta_scan(cfg, points=scan.theta_points)
-        if args.counts:
-            series = experiment.simulate_counts(cfg, series, repetition=index)
-        fit = analysis.fit_sinusoid(series)
-        vis = analysis.visibility(replace(series, fit=fit))
-        points.append(analysis.VisibilityPoint(float(alpha), vis, fit))
+    alphas = scan.alphas()
+    series = experiment.theta_scans(config, alphas, points=scan.theta_points)
+    if args.counts:
+        series = [experiment.simulate_counts(config, s, repetition=index)
+                  for index, s in enumerate(series)]
+    points = analysis.visibility_points(alphas, series)
     files = {"scan_alpha.csv": output.alpha_csv(points)}
     if args.svg:
         files["scan_alpha.svg"] = output.line_plot_svg(

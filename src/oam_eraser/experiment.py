@@ -10,6 +10,10 @@ azimuthal hologram; the conditional coincidence probability follows
 
 exactly for the ideal configuration, which the test suite pins on a grid.
 
+Every analyzer probability, one point or a whole grid, comes from one
+kernel, :func:`analyzer_probabilities`; :func:`causal_order_probability`
+stays on the sparse element operators as an independent reference.
+
 Counted data is simulated with counter-based RNG streams keyed by
 ``(seed, repetition, point index)``, so results do not depend on the
 order in which scan points are evaluated.
@@ -20,14 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from . import elements as el
 from .hilbert import (
     L_CAP,
+    NULL_TOL,
     POL_H,
     POL_V,
+    PRUNE_TOL,
     JointKet,
     apply_local,
     joint_ket,
@@ -215,24 +222,19 @@ def build_source_state(source: SourceSpec) -> JointKet:
     return joint_ket(amps)
 
 
-def build_spdc_state(source: SourceSpec) -> JointKet:
-    """OAM-anticorrelated pair state from the down-conversion source."""
-    if source.kind != "spdc":
-        raise ValueError("not a down-conversion source")
-    return build_source_state(source)
-
-
 @lru_cache(maxsize=128)
-def _pipeline(config: ExperimentConfig):
-    state = build_source_state(config.source)
+def _pipeline(source: SourceSpec, elements_a: tuple, elements_b: tuple):
+    state = build_source_state(source)
     cumulative = 1.0
-    for arm, elems in (("A", config.elements_a), ("B", config.elements_b)):
+    for arm, elems in (("A", elements_a), ("B", elements_b)):
         for i, spec in enumerate(elems):
             state, prob = el.apply_element(spec, state)
             if state is None:
                 raise NullOutcomeError(
                     f"{el.element_name(spec)}[{arm}:{i}]")
             cumulative *= prob
+    # every caller shares the cached state, so hand out a read-only view
+    state = JointKet(MappingProxyType(state.amplitudes), state.norm_tracked)
     return state, cumulative
 
 
@@ -241,14 +243,51 @@ def run_pipeline(config: ExperimentConfig):
 
     Returns ``(state, cumulative_probability)`` where the cumulative
     probability is the product of every post-selection success along the
-    way (also tracked on ``state.norm_tracked``).
+    way (also tracked on ``state.norm_tracked``).  The state is cached per
+    ``(source, elements_a, elements_b)`` and its amplitudes are read-only.
     """
-    return _pipeline(config)
+    return _pipeline(config.source, config.elements_a, config.elements_b)
 
 
-def _projection_probability(op, arm: str, state: JointKet) -> float:
-    after = apply_local(op, arm, state)
-    return sum(abs(a) ** 2 for a in after.amplitudes.values())
+def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas):
+    """Joint and conditional analyzer probabilities over an (alpha, theta) grid.
+
+    Contracts the dense ``psi[pol, ell, pol_h, ell_h]`` (hologram arm last)
+    with each polarizer transmission vector, renormalizes, then with each
+    conjugated sector vector.  Amplitudes below ``PRUNE_TOL`` are dropped
+    as the sparse operators drop them, so dark fringes are exactly zero.
+    Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
+    ``polarizer=None`` analyzes the hologram arm alone, in one row.
+    """
+    if polarizer is not None and polarizer.arm == hologram.arm:
+        raise ValueError("polarizer and hologram must sit on different arms")
+    ell = hologram.ell
+    px, lx, py, ly = (0, 1, 2, 3) if hologram.arm == "B" else (2, 3, 0, 1)
+    amps = state.amplitudes
+    at_x = {e: i for i, e in enumerate(sorted({k[lx] for k in amps}))}
+    at_y = {e: i for i, e in enumerate(sorted({k[ly] for k in amps} | {ell, -ell}))}
+    psi = np.zeros((2, len(at_x), 2, len(at_y)), dtype=complex)
+    for k, amp in amps.items():
+        psi[k[px], at_x[k[lx]], k[py], at_y[k[ly]]] = amp
+    passed, p_pol = psi[None], np.ones(1)
+    if polarizer is not None:
+        t = np.array([el.transmission_state(replace(polarizer, alpha=float(a)))
+                      for a in alphas]).reshape(-1, 2)
+        passed = np.einsum("ap,pxqy->axqy", t, psi)[:, None] * t[:, :, None, None, None]
+        passed[np.abs(passed) < PRUNE_TOL] = 0.0
+        p_pol = np.sum(np.abs(passed) ** 2, axis=(1, 2, 3, 4))
+        if np.any(p_pol < NULL_TOL):
+            raise NullOutcomeError("polarizer[analyzer_a]")
+        passed = passed * (1.0 / np.sqrt(p_pol))[:, None, None, None, None]
+    sector = np.array([[c[ell], c[-ell]] for c in (
+        el.sector_coefficients(ell, float(th)) for th in thetas)]).reshape(-1, 2)
+    scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0
+    overlap = np.einsum("ty,apxqy->atpxq", sector.conj(),
+                        passed[..., [at_y[ell], at_y[-ell]]])
+    detected = scale * sector[:, None, None, None, :] * overlap[..., None]
+    detected[np.abs(detected) < PRUNE_TOL] = 0.0
+    p_holo = np.sum(np.abs(detected) ** 2, axis=(2, 3, 4, 5))
+    return p_pol[:, None] * p_holo, np.minimum(p_holo, 1.0)
 
 
 def coincidence_probability(config: ExperimentConfig,
@@ -259,49 +298,40 @@ def coincidence_probability(config: ExperimentConfig,
     the post-selected pipeline state); ``conditional`` divides out the
     arm-A polarizer probability alone.
     """
-    state, _ = run_pipeline(config)
-    pol = replace(config.analyzer_a, alpha=alpha)
-    state_a, p_a = el.polarizer_apply(pol, state)
-    if state_a is None:
-        raise NullOutcomeError("polarizer[analyzer_a]")
-    op_b = el.sector_projector(config.analyzer_b, theta)
-    p_b_given_a = _projection_probability(op_b, config.analyzer_b.arm, state_a)
-    joint = p_a * p_b_given_a
-    return joint, min(p_b_given_a, 1.0)
+    joint, cond = conditional_grid(config, [alpha], [theta])
+    return float(joint[0, 0]), float(cond[0, 0])
 
 
 def conditional_grid(config: ExperimentConfig, alphas, thetas):
     """Joint/conditional probabilities over an (alpha, theta) grid."""
     state, _ = run_pipeline(config)
-    arm_b = config.analyzer_b.arm
-    ops_b = [el.sector_projector(config.analyzer_b, th) for th in thetas]
-    joint = np.empty((len(alphas), len(thetas)))
-    cond = np.empty_like(joint)
-    for i, alpha in enumerate(alphas):
-        pol = replace(config.analyzer_a, alpha=alpha)
-        state_a, p_a = el.polarizer_apply(pol, state)
-        if state_a is None:
-            raise NullOutcomeError("polarizer[analyzer_a]")
-        for j, op_b in enumerate(ops_b):
-            p_bga = _projection_probability(op_b, arm_b, state_a)
-            joint[i, j] = p_a * p_bga
-            cond[i, j] = min(p_bga, 1.0)
-    return joint, cond
+    return analyzer_probabilities(state, config.analyzer_a, config.analyzer_b,
+                                  alphas, thetas)
+
+
+def theta_scans(config: ExperimentConfig, alphas, thetas=None,
+                points: int = 72) -> list:
+    """Exact hologram-rotation scans, one per polarizer angle, from one grid;
+    without ``thetas``, ``points`` angles over a full turn."""
+    if thetas is None:
+        thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
+    joint, cond = conditional_grid(config, alphas, thetas)
+    settings = tuple(float(t) for t in thetas)
+    return [ScanSeries(scan_variable="theta", settings=settings,
+                       probabilities=tuple(float(p) for p in row_cond),
+                       joint_probabilities=tuple(float(p) for p in row_joint))
+            for row_joint, row_cond in zip(joint, cond)]
 
 
 def theta_scan(config: ExperimentConfig, thetas=None,
                points: int = 72) -> ScanSeries:
     """Exact hologram-rotation scan at the configured polarizer angle."""
-    if thetas is None:
-        thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
-    thetas = np.asarray(thetas, dtype=float)
-    joint, cond = conditional_grid(config, [config.analyzer_a.alpha], thetas)
-    return ScanSeries(
-        scan_variable="theta",
-        settings=tuple(float(t) for t in thetas),
-        probabilities=tuple(float(p) for p in cond[0]),
-        joint_probabilities=tuple(float(p) for p in joint[0]),
-    )
+    return theta_scans(config, [config.analyzer_a.alpha], thetas, points)[0]
+
+
+def _projection_probability(op, arm: str, state: JointKet) -> float:
+    after = apply_local(op, arm, state)
+    return sum(abs(a) ** 2 for a in after.amplitudes.values())
 
 
 def causal_order_probability(config: ExperimentConfig, alpha: float,

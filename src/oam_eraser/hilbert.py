@@ -115,15 +115,11 @@ class JointKet:
     the amplitudes themselves always stay normalized.
     """
 
-    amplitudes: dict
+    amplitudes: Mapping
     norm_tracked: float = 1.0
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def support_ells(self, arm: str) -> tuple:
-        idx = 1 if arm == "A" else 3
-        return tuple(sorted({k[idx] for k in self.amplitudes}))
 
 
 def _prune(amps: dict) -> dict:
@@ -440,10 +436,6 @@ def operator_matrix(op: LocalOperator, arm: str, basis: Sequence) -> np.ndarray:
 def density_of(state: JointKet, basis: Sequence) -> np.ndarray:
     vec = state_vector(state, basis)
     return np.outer(vec, vec.conj())
-
-
-def phase_factor(z: complex) -> complex:
-    return cmath.exp(1j * cmath.phase(z))
 
 
 def format_state(state: JointKet, digits: int = 4) -> str:

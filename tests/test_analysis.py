@@ -21,6 +21,7 @@ from oam_eraser.analysis import (
     visibility_curve,
     with_fit,
 )
+from oam_eraser.elements import HologramSpec, hologram_apply
 from oam_eraser.experiment import ScanSeries, hybrid_eraser_config
 from oam_eraser.hilbert import POL_H, POL_V, joint_ket
 
@@ -233,6 +234,28 @@ def test_fringe_visibility_of_collapsed_state():
     erased = joint_ket({(POL_H, 0, POL_H, 1): 1 / ROOT2,
                         (POL_H, 0, POL_H, -1): -1j / ROOT2})
     assert oam_fringe_visibility(erased, ell=1) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("arm", ["A", "B"])
+def test_fringe_visibility_matches_sparse_projection(arm):
+    # random states with the +-ell paths on ``arm``, the marker on the other
+    # arm and a stray OAM component the hologram must annihilate
+    rng = np.random.default_rng(41)
+    thetas = np.linspace(0.0, 2 * math.pi, 72, endpoint=False)
+    for ell in (1, 2, 3):
+        spec = HologramSpec(ell=ell, arm=arm)
+        for _ in range(5):
+            raw = rng.normal(size=6) + 1j * rng.normal(size=6)
+            paths = (ell, -ell, ell, -ell, ell + 1, -ell - 1)
+            markers = (POL_H, POL_H, POL_V, POL_V, POL_H, POL_V)
+            keys = [(POL_H, e, m, 0) if arm == "A" else (m, 0, POL_H, e)
+                    for e, m in zip(paths, markers)]
+            state = joint_ket(dict(zip(keys, raw)))
+            probs = tuple(hologram_apply(spec, state, float(t))[1] for t in thetas)
+            series = ScanSeries("theta", tuple(float(t) for t in thetas), probs)
+            want = visibility(with_fit(series, on="probabilities"))
+            got = oam_fringe_visibility(state, ell, arm=arm)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

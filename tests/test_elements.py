@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -311,6 +314,21 @@ def test_delay_is_timing_metadata_only():
     from oam_eraser.elements import apply_element
     out, prob = apply_element(spec, state)
     assert out is state and prob == 1.0
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency: the speed of light and the mask
+    # integrals are closed forms
+    code = ("import sys; sys.modules['scipy'] = None; import oam_eraser; "
+            "print(repr(oam_eraser.elements.binary_coupling(1)))")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(2 / math.pi, abs=1e-15)
 
 
 def test_delay_rejects_negative_path():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oam_eraser import elements as el
 from oam_eraser.elements import DelaySpec, FiberSpec, PolarizerSpec, QPlateSpec
 from oam_eraser.experiment import (
     CountingModel,
@@ -11,7 +12,8 @@ from oam_eraser.experiment import (
     NullOutcomeError,
     ScanSeries,
     SourceSpec,
-    build_spdc_state,
+    _pipeline,
+    analyzer_probabilities,
     build_source_state,
     causal_order_probability,
     coincidence_probability,
@@ -38,7 +40,7 @@ def law(alpha, theta):
 
 
 def test_flat_spdc_state_is_even_three_term_superposition():
-    state = build_spdc_state(SourceSpec(l_max=1))
+    state = build_source_state(SourceSpec(l_max=1))
     assert len(state.amplitudes) == 3
     for ell in (-1, 0, 1):
         amp = state.amplitudes[(POL_H, ell, POL_H, -ell)]
@@ -46,7 +48,7 @@ def test_flat_spdc_state_is_even_three_term_superposition():
 
 
 def test_spdc_oam_is_anticorrelated():
-    state = build_spdc_state(SourceSpec(l_max=4, spectrum="gaussian", sigma_ell=2.0))
+    state = build_source_state(SourceSpec(l_max=4, spectrum="gaussian", sigma_ell=2.0))
     for (_, ell_a, _, ell_b) in state.amplitudes:
         assert ell_a == -ell_b
 
@@ -54,7 +56,7 @@ def test_spdc_oam_is_anticorrelated():
 def test_gaussian_spectrum_ratio():
     # documented spectrum c_|l| ~ exp(-l^2 / (2 sigma^2)): the 2:0 weight
     # ratio is exp(-4/sigma^2) after normalization cancels
-    state = build_spdc_state(SourceSpec(l_max=2, spectrum="gaussian", sigma_ell=1.0))
+    state = build_source_state(SourceSpec(l_max=2, spectrum="gaussian", sigma_ell=1.0))
     c0 = state.amplitudes[(POL_H, 0, POL_H, 0)]
     c2 = state.amplitudes[(POL_H, 2, POL_H, -2)]
     assert abs(c2 / c0) ** 2 == pytest.approx(math.exp(-4.0), rel=1e-12)
@@ -90,8 +92,28 @@ def test_empty_pipeline_returns_source():
     config = ExperimentConfig(source=SourceSpec(l_max=1))
     state, cumulative = run_pipeline(config)
     assert cumulative == 1.0
-    assert abs(state_overlap(build_spdc_state(config.source), state)) == \
+    assert abs(state_overlap(build_source_state(config.source), state)) == \
         pytest.approx(1.0, abs=1e-12)
+
+
+def test_pipeline_cache_is_shared_by_analyzer_and_counting_variants():
+    source = dict(l_max=7, spectrum="gaussian", sigma_ell=1.37)
+    base = hybrid_eraser_config(alpha=0.1, **source)
+    other = hybrid_eraser_config(alpha=1.2, extinction=0.05, hologram_mode="binary",
+                                 counting=CountingModel(seed=9), **source)
+    entries = _pipeline.cache_info().currsize
+    assert run_pipeline(base)[0] is run_pipeline(other)[0]
+    assert _pipeline.cache_info().currsize == entries + 1
+
+
+def test_cached_pipeline_state_is_read_only(canonical_config):
+    state, _ = run_pipeline(canonical_config)
+    key = next(iter(state.amplitudes))
+    with pytest.raises(TypeError):
+        state.amplitudes[key] = 0.0
+    with pytest.raises(TypeError):
+        state.amplitudes[(POL_H, 5, POL_H, 5)] = 1.0
+    assert run_pipeline(canonical_config)[0].amplitudes == state.amplitudes
 
 
 def test_null_pipeline_names_the_element():
@@ -158,6 +180,89 @@ def test_theta_scan_series_shape(canonical_config):
     assert series.scan_variable == "theta"
     assert len(series.settings) == 36
     assert all(p == pytest.approx(0.5, abs=1e-12) for p in series.probabilities)
+
+
+# ---------------------------------------------------------------------------
+# analyzer kernel against the sparse element operators
+
+
+def _sparse_grid(config, alphas, thetas):
+    """Independent route: polarizer_apply, then hologram_apply, point by point."""
+    state, _ = run_pipeline(config)
+    joint = np.empty((len(alphas), len(thetas)))
+    cond = np.empty_like(joint)
+    for i, alpha in enumerate(alphas):
+        pol = replace(config.analyzer_a, alpha=float(alpha))
+        state_a, p_a = el.polarizer_apply(pol, state)
+        if state_a is None:
+            raise NullOutcomeError("polarizer[analyzer_a]")
+        for j, theta in enumerate(thetas):
+            _, p_b = el.hologram_apply(config.analyzer_b, state_a, float(theta))
+            joint[i, j], cond[i, j] = p_a * p_b, p_b
+    return joint, cond
+
+
+def _eraser_config(rng):
+    gaussian = bool(rng.random() < 0.5)
+    return hybrid_eraser_config(
+        l_max=int(rng.integers(1, 11)),
+        spectrum="gaussian" if gaussian else "flat",
+        sigma_ell=float(rng.uniform(0.5, 3.0)) if gaussian else None,
+        extinction=float(rng.uniform(0.0, 0.2)),
+        hologram_mode=str(rng.choice(["ideal", "binary"])),
+        delay_m=float(rng.uniform(0.0, 10.0)) if rng.random() < 0.5 else 0.0)
+
+
+def _wide_config(rng):
+    """Element chains without a fiber: the analyzed state spans many OAM
+    indices on both arms, and the hologram subspace may be empty."""
+    arm_a = [QPlateSpec(q=float(rng.choice([-1.0, -0.5, 0.5, 1.0])), arm="A")]
+    if rng.random() < 0.5:
+        arm_a.append(el.WavePlateSpec(kind=str(rng.choice(["quarter", "half"])),
+                                      fast_axis=float(rng.uniform(0.0, 3.0)), arm="A"))
+    arm_b = []
+    if rng.random() < 0.5:
+        arm_b.append(QPlateSpec(q=float(rng.choice([-0.5, 0.5])), arm="B"))
+    return ExperimentConfig(
+        source=SourceSpec(l_max=int(rng.integers(1, 6))),
+        elements_a=tuple(arm_a), elements_b=tuple(arm_b),
+        analyzer_a=PolarizerSpec(alpha=0.0, extinction=float(rng.uniform(0.0, 0.2))),
+        analyzer_b=el.HologramSpec(ell=int(rng.integers(1, 4)),
+                                   mode=str(rng.choice(["ideal", "binary"]))))
+
+
+@pytest.mark.parametrize("make_config", [_eraser_config, _wide_config])
+def test_kernel_matches_sparse_projections(make_config):
+    worst = 0.0
+    for seed in range(40):
+        rng = np.random.default_rng(700 + seed)
+        config = make_config(rng)
+        alphas = rng.uniform(0.0, math.pi, 7)
+        thetas = rng.uniform(0.0, 2 * math.pi, 9)
+        got = conditional_grid(config, alphas, thetas)
+        want = _sparse_grid(config, alphas, thetas)
+        for g, w in zip(got, want):
+            assert g.shape == (7, 9)
+            worst = max(worst, float(np.max(np.abs(g - w))))
+        assert worst <= 1e-13, f"seed {seed}: deviation {worst:.3g}"
+
+
+def test_kernel_raises_when_the_polarizer_blocks_everything():
+    state = build_source_state(SourceSpec(l_max=1))  # all H on arm A
+    pol = PolarizerSpec(alpha=math.pi / 2)
+    with pytest.raises(NullOutcomeError, match="analyzer_a"):
+        analyzer_probabilities(state, pol, el.HologramSpec(ell=1), [0.0, math.pi / 2],
+                               [0.0])
+
+
+def test_dark_fringes_are_exact_zeros():
+    # (1 - sin 2theta)/2 at alpha = pi/4 vanishes at theta = pi/4 + k*pi
+    thetas = [math.pi / 4 + k * math.pi for k in range(-2, 4)]
+    alphas = [math.pi / 4, 5 * math.pi / 4]
+    for mode in ("ideal", "binary"):
+        config = hybrid_eraser_config(hologram_mode=mode)
+        joint, cond = conditional_grid(config, alphas, thetas)
+        assert np.all(joint == 0.0) and np.all(cond == 0.0)
 
 
 # ---------------------------------------------------------------------------
