@@ -414,25 +414,6 @@ def state_vector(state: JointKet, basis: Sequence) -> np.ndarray:
     return vec
 
 
-def operator_matrix(op: LocalOperator, arm: str, basis: Sequence) -> np.ndarray:
-    """Dense joint-space matrix of a single-arm operator on ``basis``."""
-    index = {lbl: i for i, lbl in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)), dtype=complex)
-    for key in basis:
-        if arm == "A":
-            local_in, rest = (key[0], key[1]), (key[2], key[3])
-        else:
-            local_in, rest = (key[2], key[3]), (key[0], key[1])
-        for (pol_out, ell_out), amp in op._columns.get(local_in, ()):  # noqa: SLF001
-            if arm == "A":
-                out_key = (pol_out, ell_out, rest[0], rest[1])
-            else:
-                out_key = (rest[0], rest[1], pol_out, ell_out)
-            if out_key in index:
-                mat[index[out_key], index[key]] += amp
-    return mat
-
-
 def density_of(state: JointKet, basis: Sequence) -> np.ndarray:
     vec = state_vector(state, basis)
     return np.outer(vec, vec.conj())

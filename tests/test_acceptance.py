@@ -33,7 +33,6 @@ from oam_eraser.hilbert import (
     density_of,
     joint_basis,
     joint_ket,
-    operator_matrix,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -179,32 +178,58 @@ def test_criterion_4_delayed_choice():
 # 5. density-matrix channel oracle
 
 
-def _compile_operator(spec):
+def _arm_matrix(spec, ells):
+    """Dense (polarization x OAM) matrix of one element, polarization-major,
+    built from 2x2 blocks and explicit OAM matrices only."""
+    n = len(ells)
+    eye_pol, eye_oam = np.eye(2), np.eye(n)
     if isinstance(spec, el.QPlateSpec):
-        return el.qplate_operator(spec)
+        shift = round(2 * spec.q)
+        up = np.array([[1, 1j], [1j, -1]]) / 2  # |ell> -> |ell + 2q>
+        down = up.conj()  # |ell> -> |ell - 2q>
+        return (np.kron(up, np.eye(n, k=-shift))
+                + np.kron(down, np.eye(n, k=shift)))
     if isinstance(spec, el.WavePlateSpec):
-        return el.waveplate_operator(spec)
+        return np.kron(el.waveplate_jones(spec.kind, spec.fast_axis), eye_oam)
     if isinstance(spec, el.PolarizerSpec):
-        return el.polarizer_operator(spec)
+        a, e = spec.alpha, spec.extinction
+        t = np.array([math.cos(a) - e * math.sin(a),
+                      math.sin(a) + e * math.cos(a)]) / math.sqrt(1 + e * e)
+        return np.kron(np.outer(t, t), eye_oam)
     if isinstance(spec, el.FiberSpec):
-        return el.fiber_operator(spec)
+        mask = np.diag([1.0 if ell == spec.accepted_ell else 0.0 for ell in ells])
+        return np.kron(eye_pol, mask)
     if isinstance(spec, el.HologramSpec):
-        return el.sector_projector(spec)
+        s = np.zeros(n, dtype=complex)
+        s[ells.index(spec.ell)] = 1 / math.sqrt(2)
+        s[ells.index(-spec.ell)] = np.exp(2j * spec.theta) / math.sqrt(2)
+        scale = 2 / math.pi if spec.mode == "binary" else 1.0
+        return np.kron(eye_pol, scale * np.outer(s, s.conj()))
     return None  # delay: no amplitude action
 
 
 def _dm_pipeline(config, l_bound):
-    """Independent oracle: dense channel composition rho -> M rho M+ / tr."""
+    """Independent oracle: dense channel composition rho -> M rho M+ / tr.
+
+    Each element's matrix is written out here from its physics, not taken
+    from the package's element compilers.  In ``joint_basis`` order the
+    joint operator is ``kron(M, I)`` on arm A and ``kron(I, M)`` on arm B;
+    it is applied as a contraction over that arm's indices of ``rho``.
+    """
     basis = joint_basis(l_bound)
+    ells = list(range(-l_bound, l_bound + 1))
+    dim = 2 * len(ells)
     rho = density_of(build_source_state(config.source), basis)
     cumulative = 1.0
     for arm, elems in (("A", config.elements_a), ("B", config.elements_b)):
         for spec in elems:
-            op = _compile_operator(spec)
-            if op is None:
+            local = _arm_matrix(spec, ells)
+            if local is None:
                 continue
-            mat = operator_matrix(op, arm, basis)
-            rho = mat @ rho @ mat.conj().T
+            # rho[a b, a' b'] as r[a, b, a', b']
+            route = "ij,jbkc,lk->iblc" if arm == "A" else "ij,ajck,lk->aicl"
+            rho = np.einsum(route, local, rho.reshape(dim, dim, dim, dim),
+                            local.conj(), optimize=True).reshape(dim**2, dim**2)
             tr = float(np.trace(rho).real)
             if tr < 1e-14:
                 return None, 0.0, basis
