@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import elements as el
-from .hilbert import JointKet, reduced_density
+from .hilbert import NULL_TOL, JointKet, reduced_density
 from .experiment import (
     ExperimentConfig,
     ScanSeries,
@@ -238,7 +238,7 @@ def distinguishability(state: JointKet, ell: int, path_arm: str = "B") -> float:
             raise ValueError(f"state leaves the +-{ell} path subspace")
     p_plus = sum(abs(a) ** 2 for a in plus.values())
     p_minus = sum(abs(a) ** 2 for a in minus.values())
-    if p_plus < 1e-14 or p_minus < 1e-14:
+    if p_plus < NULL_TOL or p_minus < NULL_TOL:
         return 1.0
     basis = sorted({(k[0], k[1]) if marker_arm == "A" else (k[2], k[3])
                     for k in state.amplitudes})

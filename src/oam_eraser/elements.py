@@ -1,9 +1,18 @@
 """Optical element catalog.
 
 Each element spec compiles to a :class:`~oam_eraser.hilbert.LocalOperator`
-acting on one arm: geometric-phase plates and wave plates are unitary,
-while polarizers, single-mode fibers and analysis holograms post-select
-(their application returns a success probability).
+of one to four terms acting on one arm:
+
+    wave plate   its Jones matrix, on every OAM index
+    polarizer    the projector ``t t^T`` onto its transmission state
+    q-plate      an up-shift block on ``ell + 2q`` and a down-shift block
+                 on ``ell - 2q``
+    fiber        the identity on the accepted OAM index only (an OAM mask)
+    hologram     one term ``c_a c_b* I`` from ``|b>`` to ``|a>`` for each
+                 ``a, b`` in ``{ell, -ell}`` (a rank-1 sector projector)
+
+Plates are unitary, while polarizers, single-mode fibers and analysis
+holograms post-select (their application returns a success probability).
 
 Retarder convention (frozen; see :func:`waveplate_jones`): the fast-axis
 component is unretarded and the slow-axis component is multiplied by
@@ -24,8 +33,7 @@ import numpy as np
 from .hilbert import (
     ARMS,
     L_CAP,
-    POL_H,
-    POL_V,
+    POL_IDENTITY,
     JointKet,
     LocalOperator,
     apply_local,
@@ -170,7 +178,13 @@ def _check_arm(arm: str) -> None:
 # compilers
 
 
-def qplate_operator(spec: QPlateSpec, l_cap: int = L_CAP) -> LocalOperator:
+#: q-plate blocks in the H/V basis: R -> L with ``ell + 2q`` and L -> R with
+#: ``ell - 2q``.
+_QPLATE_UP = ((0.5 + 0.0j, 0.5j), (0.5j, -0.5 + 0.0j))
+_QPLATE_DOWN = ((0.5 + 0.0j, -0.5j), (-0.5j, -0.5 + 0.0j))
+
+
+def qplate_operator(spec: QPlateSpec) -> LocalOperator:
     """Spin-orbit coupling rules of a q-plate.
 
     ``|ell>|R> -> |ell + 2q>|L>`` and ``|ell>|L> -> |ell - 2q>|R>``: the
@@ -179,18 +193,7 @@ def qplate_operator(spec: QPlateSpec, l_cap: int = L_CAP) -> LocalOperator:
     is ``[[1, i], [i, -1]]/2`` and the down-shift block is its conjugate.
     """
     shift = round(2.0 * spec.q)
-    entries = {}
-    for ell in range(-l_cap, l_cap + 1):
-        up, down = ell + shift, ell - shift
-        entries[((POL_H, up), (POL_H, ell))] = 0.5
-        entries[((POL_H, up), (POL_V, ell))] = 0.5j
-        entries[((POL_V, up), (POL_H, ell))] = 0.5j
-        entries[((POL_V, up), (POL_V, ell))] = -0.5
-        entries[((POL_H, down), (POL_H, ell))] = 0.5
-        entries[((POL_H, down), (POL_V, ell))] = -0.5j
-        entries[((POL_V, down), (POL_H, ell))] = -0.5j
-        entries[((POL_V, down), (POL_V, ell))] = -0.5
-    return LocalOperator(entries, unitary=True)
+    return LocalOperator(((_QPLATE_UP, None, shift), (_QPLATE_DOWN, None, -shift)))
 
 
 def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
@@ -215,37 +218,29 @@ def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
     return np.array([[d00, d01], [d01, d11]], dtype=complex)
 
 
-def waveplate_operator(spec: WavePlateSpec, l_cap: int = L_CAP) -> LocalOperator:
-    jones = waveplate_jones(spec.kind, spec.fast_axis)
-    entries = {}
-    for ell in range(-l_cap, l_cap + 1):
-        for p_out in (POL_H, POL_V):
-            for p_in in (POL_H, POL_V):
-                amp = jones[p_out, p_in]
-                if abs(amp) > 0.0:
-                    entries[((p_out, ell), (p_in, ell))] = amp
-    return LocalOperator(entries, unitary=True)
+def waveplate_operator(spec: WavePlateSpec) -> LocalOperator:
+    jones = waveplate_jones(spec.kind, spec.fast_axis).tolist()
+    return LocalOperator(((tuple(map(tuple, jones)), None, 0),))
 
 
-def transmission_state(spec: PolarizerSpec) -> tuple:
-    """Normalized (H, V) components of the polarizer transmission state."""
-    ca, sa = math.cos(spec.alpha), math.sin(spec.alpha)
-    e = spec.extinction
+def transmission_state(alpha, extinction: float) -> np.ndarray:
+    """Normalized (H, V) components of the polarizer transmission state.
+
+    ``alpha`` may be one angle or an array of them; the components lie
+    along a new last axis.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    e = extinction
     scale = 1.0 / math.sqrt(1.0 + e * e)
-    return ((ca - e * sa) * scale, (sa + e * ca) * scale)
+    return np.stack(((ca - e * sa) * scale, (sa + e * ca) * scale), axis=-1)
 
 
-def polarizer_operator(spec: PolarizerSpec, l_cap: int = L_CAP) -> LocalOperator:
-    th, tv = transmission_state(spec)
-    comps = {POL_H: th, POL_V: tv}
-    entries = {}
-    for ell in range(-l_cap, l_cap + 1):
-        for p_out in (POL_H, POL_V):
-            for p_in in (POL_H, POL_V):
-                amp = comps[p_out] * np.conj(comps[p_in])
-                if abs(amp) > 0.0:
-                    entries[((p_out, ell), (p_in, ell))] = complex(amp)
-    return LocalOperator(entries, unitary=False)
+def polarizer_operator(spec: PolarizerSpec) -> LocalOperator:
+    """Projector ``t t^T`` onto the (real) transmission state ``t``."""
+    t = transmission_state(spec.alpha, spec.extinction).tolist()
+    pol = tuple(tuple(complex(t_out * t_in) for t_in in t) for t_out in t)
+    return LocalOperator(((pol, None, 0),))
 
 
 def polarizer_apply(spec: PolarizerSpec, state: JointKet):
@@ -257,12 +252,9 @@ def polarizer_apply(spec: PolarizerSpec, state: JointKet):
     return postselect_local(polarizer_operator(spec), spec.arm, state)
 
 
-def fiber_operator(spec: FiberSpec, l_cap: int = L_CAP) -> LocalOperator:
-    entries = {}
-    for pol in (POL_H, POL_V):
-        key = (pol, spec.accepted_ell)
-        entries[(key, key)] = 1.0
-    return LocalOperator(entries, unitary=False)
+def fiber_operator(spec: FiberSpec) -> LocalOperator:
+    """OAM mask: passes ``accepted_ell`` in either polarization."""
+    return LocalOperator(((POL_IDENTITY, spec.accepted_ell, 0),))
 
 
 def fiber_postselect(spec: FiberSpec, state: JointKet):
@@ -270,30 +262,37 @@ def fiber_postselect(spec: FiberSpec, state: JointKet):
     return postselect_local(fiber_operator(spec), spec.arm, state)
 
 
-def sector_coefficients(ell: int, theta: float) -> dict:
-    """OAM components of the sector state ``(|ell> + e^{2i theta}|-ell>)/sqrt2``."""
+def sector_coefficients(theta) -> np.ndarray:
+    """Components ``(c_ell, c_-ell)`` of the sector state
+    ``(|ell> + e^{2i theta}|-ell>)/sqrt2``.
+
+    ``theta`` may be one angle or an array of them; the components lie
+    along a new last axis.
+    """
+    two = 2.0 * np.asarray(theta, dtype=float)
     root = 1.0 / math.sqrt(2.0)
-    return {ell: root + 0.0j, -ell: root * complex(math.cos(2 * theta),
-                                                   math.sin(2 * theta))}
+    minus = root * (np.cos(two) + 1j * np.sin(two))
+    return np.stack((np.full_like(minus, root), minus), axis=-1)
 
 
-def sector_projector(spec: HologramSpec, theta: float | None = None,
-                     l_cap: int = L_CAP) -> LocalOperator:
+def sector_projector(spec: HologramSpec,
+                     theta: float | None = None) -> LocalOperator:
     """Rank-1 projector (per polarization) onto the sector state.
 
-    ``binary`` mode multiplies the projector by the matched first-order
-    mask coupling, so probabilities scale by its square (about 0.405).
+    One term per pair of OAM indices ``a, b`` in ``{ell, -ell}``, mapping
+    ``|b>`` to ``|a>`` with weight ``c_a c_b*``.  ``binary`` mode multiplies
+    the projector by the matched first-order mask coupling, so
+    probabilities scale by its square (about 0.405).
     """
     angle = spec.theta if theta is None else theta
-    coeffs = sector_coefficients(spec.ell, angle)
+    coeffs = dict(zip((spec.ell, -spec.ell), sector_coefficients(angle).tolist()))
     scale = binary_coupling(spec.ell) if spec.mode == "binary" else 1.0
-    entries = {}
-    for pol in (POL_H, POL_V):
-        for ell_out, c_out in coeffs.items():
-            for ell_in, c_in in coeffs.items():
-                entries[((pol, ell_out), (pol, ell_in))] = \
-                    scale * c_out * c_in.conjugate()
-    return LocalOperator(entries, unitary=False)
+    terms = []
+    for a, c_a in coeffs.items():
+        for b, c_b in coeffs.items():
+            w = scale * c_a * c_b.conjugate()
+            terms.append((((w, 0.0j), (0.0j, w)), b, a - b))
+    return LocalOperator(tuple(terms))
 
 
 def hologram_apply(spec: HologramSpec, state: JointKet,
@@ -349,12 +348,12 @@ def binary_coupling(ell: int) -> float:
 # uniform application
 
 
-def apply_element(spec, state: JointKet, l_cap: int = L_CAP):
+def apply_element(spec, state: JointKet):
     """Apply any element spec; returns ``(state_or_None, probability)``."""
     if isinstance(spec, QPlateSpec):
-        return apply_local(qplate_operator(spec, l_cap), spec.arm, state, l_cap), 1.0
+        return apply_local(qplate_operator(spec), spec.arm, state), 1.0
     if isinstance(spec, WavePlateSpec):
-        return apply_local(waveplate_operator(spec, l_cap), spec.arm, state, l_cap), 1.0
+        return apply_local(waveplate_operator(spec), spec.arm, state), 1.0
     if isinstance(spec, PolarizerSpec):
         return polarizer_apply(spec, state)
     if isinstance(spec, FiberSpec):

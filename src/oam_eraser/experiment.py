@@ -271,16 +271,14 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
         psi[k[px], at_x[k[lx]], k[py], at_y[k[ly]]] = amp
     passed, p_pol = psi[None], np.ones(1)
     if polarizer is not None:
-        t = np.array([el.transmission_state(replace(polarizer, alpha=float(a)))
-                      for a in alphas]).reshape(-1, 2)
+        t = el.transmission_state(alphas, polarizer.extinction).reshape(-1, 2)
         passed = np.einsum("ap,pxqy->axqy", t, psi)[:, None] * t[:, :, None, None, None]
         passed[np.abs(passed) < PRUNE_TOL] = 0.0
         p_pol = np.sum(np.abs(passed) ** 2, axis=(1, 2, 3, 4))
         if np.any(p_pol < NULL_TOL):
             raise NullOutcomeError("polarizer[analyzer_a]")
         passed = passed * (1.0 / np.sqrt(p_pol))[:, None, None, None, None]
-    sector = np.array([[c[ell], c[-ell]] for c in (
-        el.sector_coefficients(ell, float(th)) for th in thetas)]).reshape(-1, 2)
+    sector = el.sector_coefficients(thetas).reshape(-1, 2)
     scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0
     overlap = np.einsum("ty,apxqy->atpxq", sector.conj(),
                         passed[..., [at_y[ell], at_y[-ell]]])
@@ -349,7 +347,7 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
     holo_op = el.sector_projector(config.analyzer_b, theta)
     arm_a, arm_b = config.analyzer_a.arm, config.analyzer_b.arm
     p_a = _projection_probability(pol_op, arm_a, state)
-    if p_a < 1e-14:
+    if p_a < NULL_TOL:
         raise NullOutcomeError("polarizer[analyzer_a]")
     if order == "A_first":
         state_a, _ = postselect_local(pol_op, arm_a, state)

@@ -6,6 +6,11 @@ angular momentum index.  States are sparse complex amplitude maps keyed by
 integer-coded labels; operations are pure functions returning new values,
 so everything here is safe to share across threads.
 
+A single-arm operator is a short tuple of terms, each a 2x2 polarization
+matrix acting on one input OAM index (or on every index) together with an
+OAM shift; :func:`apply_local` walks the state's amplitudes and emits one
+output label per term and output polarization.
+
 Conventions, pinned once and regression-locked by the test suite:
 
     polarization basis   H = 0, V = 1
@@ -20,8 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -167,104 +172,66 @@ def state_overlap(a: JointKet, b: JointKet) -> complex:
 # single-arm operators
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LocalOperator:
-    """Sparse operator on one arm's (polarization x OAM) space.
+    """Operator on one arm's (polarization x OAM) space, as a sum of terms.
 
-    ``entries`` maps ``((pol_out, ell_out), (pol_in, ell_in))`` to the
-    matrix element.  Labels absent from all input columns are annihilated,
-    which is the physical behaviour of the post-selecting elements
-    (fiber, hologram); unitaries are compiled with full columns.
+    A term ``(pol, ell_in, shift)`` sends ``|p, ell>`` to
+    ``sum_q pol[q][p] |q, ell + shift>``, for ``ell == ell_in`` only or,
+    with ``ell_in = None``, for every ``ell``.  ``pol`` is a 2x2
+    polarization matrix (rows index the output polarization) held as
+    Python complex numbers, and ``shift`` is the OAM shift.  Labels that no
+    term accepts are annihilated, which is how the post-selecting elements
+    (fiber, hologram) act.
     """
 
-    entries: dict
-    unitary: bool = False
-    _columns: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        cols: dict = {}
-        for (out_lbl, in_lbl), amp in self.entries.items():
-            cols.setdefault(in_lbl, []).append((out_lbl, complex(amp)))
-        object.__setattr__(self, "_columns", cols)
-        if self.unitary:
-            self._check_unitary()
-
-    def _check_unitary(self, tol: float = 1e-10) -> None:
-        # O†O restricted to the declared input support must be the identity.
-        rows: dict = {}
-        for (out_lbl, in_lbl), amp in self.entries.items():
-            rows.setdefault(out_lbl, []).append((in_lbl, complex(amp)))
-        gram: dict = {}
-        for row in rows.values():
-            for in_i, a_i in row:
-                for in_j, a_j in row:
-                    key = (in_i, in_j)
-                    gram[key] = gram.get(key, 0.0 + 0.0j) + a_i.conjugate() * a_j
-        for (in_i, in_j), val in gram.items():
-            want = 1.0 if in_i == in_j else 0.0
-            if abs(val - want) > tol:
-                raise ValueError("operator flagged unitary is not unitary")
+    terms: tuple
 
 
-def local_operator(entries: Mapping, unitary: bool = False) -> LocalOperator:
-    return LocalOperator({k: complex(v) for k, v in entries.items()}, unitary)
+#: Polarization part of the elements that act on OAM alone.
+POL_IDENTITY = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
 
 
-def identity_operator(ells: Iterable[int]) -> LocalOperator:
-    entries = {}
-    for ell in ells:
-        for pol in (POL_H, POL_V):
-            entries[((pol, ell), (pol, ell))] = 1.0
-    return LocalOperator(entries, unitary=True)
-
-
-def compose(second: LocalOperator, first: LocalOperator) -> LocalOperator:
-    """Operator product ``second @ first``."""
-    entries: dict = {}
-    for (mid_lbl, in_lbl), a1 in first.entries.items():
-        for out_lbl, a2 in second._columns.get(mid_lbl, ()):  # noqa: SLF001
-            key = (out_lbl, in_lbl)
-            entries[key] = entries.get(key, 0.0 + 0.0j) + a2 * a1
-    entries = {k: v for k, v in entries.items() if abs(v) >= PRUNE_TOL}
-    return LocalOperator(entries, unitary=second.unitary and first.unitary)
-
-
-def apply_local(op: LocalOperator, arm: str, state: JointKet,
-                l_cap: int = L_CAP) -> JointKet:
+def apply_local(op: LocalOperator, arm: str, state: JointKet) -> JointKet:
     """Apply an operator to one arm, leaving the other arm untouched.
 
     Unitary operators preserve the norm; non-unitary ones generally do
     not, and callers that post-select should go through
     :func:`postselect_local` to renormalize and track the probability.
+    Raises :class:`OamOverflowError` when a term shifts an OAM index
+    beyond ``L_CAP``.
     """
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
     out: dict = {}
     for key, amp in state.amplitudes.items():
-        if arm == "A":
-            local_in, rest = (key[0], key[1]), (key[2], key[3])
-        else:
-            local_in, rest = (key[2], key[3]), (key[0], key[1])
-        for (pol_out, ell_out), mat in op._columns.get(local_in, ()):  # noqa: SLF001
-            if abs(ell_out) > l_cap:
+        pol, ell = (key[0], key[1]) if arm == "A" else (key[2], key[3])
+        for mat, ell_in, shift in op.terms:
+            if ell_in is not None and ell != ell_in:
+                continue
+            ell_out = ell + shift
+            if abs(ell_out) > L_CAP:
                 raise OamOverflowError("OAM support overflow")
-            if arm == "A":
-                new_key = (pol_out, ell_out, rest[0], rest[1])
-            else:
-                new_key = (rest[0], rest[1], pol_out, ell_out)
-            out[new_key] = out.get(new_key, 0.0 + 0.0j) + mat * amp
+            for pol_out in (POL_H, POL_V):
+                m = mat[pol_out][pol]
+                if not m:
+                    continue
+                if arm == "A":
+                    new_key = (pol_out, ell_out, key[2], key[3])
+                else:
+                    new_key = (key[0], key[1], pol_out, ell_out)
+                out[new_key] = out.get(new_key, 0.0 + 0.0j) + m * amp
     return JointKet(_prune(out), state.norm_tracked)
 
 
-def postselect_local(op: LocalOperator, arm: str, state: JointKet,
-                     l_cap: int = L_CAP):
+def postselect_local(op: LocalOperator, arm: str, state: JointKet):
     """Apply a non-unitary element and renormalize.
 
     Returns ``(state, probability)`` where the probability is the squared
     norm of the unnormalized result; a probability below ``NULL_TOL``
     yields ``(None, 0.0)`` (the null outcome).
     """
-    raw = apply_local(op, arm, state, l_cap)
+    raw = apply_local(op, arm, state)
     p = sum(abs(a) ** 2 for a in raw.amplitudes.values())
     if p < NULL_TOL:
         return None, 0.0

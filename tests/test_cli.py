@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,3 +243,38 @@ def test_io_error_exit_code(tmp_path, config_path, capsys):
 
 def test_missing_config_exit_code(tmp_path):
     assert main(["scan-theta", str(tmp_path / "absent.cfg")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# byte stability of the demo outputs
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "eraser.cfg"
+
+#: sha256 of every written file that carries no least-squares fit output
+#: (fit fields print rounding noise at 12 significant digits).
+DEMO_DIGESTS = {
+    "scan_theta.csv":
+        "5ef9f0aa9f62c923dca9d687f1b0335e78e1f3a77288f3feda70199258bd5dd6",
+    "scan_theta.svg":
+        "9f2edf0d79950c19d5c0eb3a72855fdcf429d57c9290e90b81b4caad46bd46e5",
+    "scan_grid.csv":
+        "0b3d48888c9c3b64e3381186a10757d261f8ab616f1d5f49dc6ec0d2f5b6fec5",
+    "timeline_events.csv":
+        "ff943cabbc53bf4f452b74fc7a723464b5470a7d5202626dd82dbbfad92e31b8",
+    "timeline_summary.csv":
+        "58de79147f4214443b1addc599fd4d8c262094ed9d8cedff0133c98409dd6525",
+    "pattern.csv":
+        "6852db9bcca24db497fb23c808e007b3f631515ec37cfbf175292ad9c060d83e",
+    "pattern.svg":
+        "5511a6eef4eceb0c395a4718cb01e2b764484c835d874e307e49598bd49bf8b7",
+}
+
+
+def test_demo_outputs_are_byte_stable(tmp_path):
+    for command in (["scan-theta", "--counts", "--svg"], ["scan-grid"],
+                    ["timeline"], ["render-pattern"]):
+        assert main([command[0], str(DEMO_CONFIG), *command[1:],
+                     "--out-dir", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in DEMO_DIGESTS}
+    assert got == DEMO_DIGESTS

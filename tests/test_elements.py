@@ -93,18 +93,13 @@ def test_qplate_rejects_non_half_integer_charge():
         QPlateSpec(q=0.3)
 
 
-def test_qplate_operator_is_unitary_on_support():
-    # construction already validates; double-check O+O on a random column
-    op = qplate_operator(QPlateSpec(q=0.5), l_cap=4)
-    cols = {}
-    for (out_lbl, in_lbl), amp in op.entries.items():
-        cols.setdefault(in_lbl, {})[out_lbl] = amp
-    keys = list(cols)
-    for i in keys:
-        for j in keys:
-            acc = sum(a.conjugate() * cols[j].get(lbl, 0.0)
-                      for lbl, a in cols[i].items())
-            assert acc == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+def test_zero_charge_qplate_is_a_half_wave_plate():
+    # both shift blocks land on the input OAM: (U_up + U_down) = diag(1, -1)
+    op = qplate_operator(QPlateSpec(q=0.0))
+    state = tensor(polarization_ket("D", 3), basis_ket(POL_H, 0))
+    out = apply_local(op, "A", state)
+    expected = tensor(polarization_ket("A", 3), basis_ket(POL_H, 0))
+    assert state_overlap(expected, out) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +240,8 @@ def test_sector_projection_of_single_mode_is_half():
 
 def test_sector_state_projects_onto_itself():
     theta = 0.7
-    coeffs = sector_coefficients(1, theta)
-    state = joint_ket({(POL_H, 0, POL_H, ell): c for ell, c in coeffs.items()})
+    coeffs = sector_coefficients(theta)
+    state = joint_ket({(POL_H, 0, POL_H, ell): c for ell, c in zip((1, -1), coeffs)})
     _, prob = hologram_apply(HologramSpec(ell=1, arm="B"), state, theta=theta)
     assert prob == pytest.approx(1.0, abs=1e-12)
 

@@ -7,16 +7,14 @@ from oam_eraser.hilbert import (
     L_CAP,
     POL_H,
     POL_V,
+    POL_IDENTITY,
     DensityMatrix,
     LocalOperator,
     OamOverflowError,
     apply_local,
     basis_ket,
-    compose,
     density_matrix,
-    identity_operator,
     joint_ket,
-    local_operator,
     polarization_ket,
     project,
     reduced_density,
@@ -70,68 +68,39 @@ def test_tensor_rejects_unnormalized_factor():
 
 
 def _random_unitary_operator(rng, ells):
+    # one term per matrix entry: |p, ell> -> q[p' ell', p ell] |p', ell'>
     labels = [(p, ell) for p in (POL_H, POL_V) for ell in ells]
     dim = len(labels)
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(mat)
-    entries = {
-        (labels[i], labels[j]): q[i, j]
-        for i in range(dim) for j in range(dim) if abs(q[i, j]) > 1e-16
-    }
-    return LocalOperator(entries, unitary=True), labels, q
+    terms = []
+    for i, (p_out, ell_out) in enumerate(labels):
+        for j, (p_in, ell_in) in enumerate(labels):
+            pol = [[0j, 0j], [0j, 0j]]
+            pol[p_out][p_in] = complex(q[i, j])
+            terms.append((tuple(map(tuple, pol)), ell_in, ell_out - ell_in))
+    return LocalOperator(tuple(terms))
 
 
 def test_identity_operator_leaves_state_unchanged():
     state = tensor(polarization_ket("R", 1), polarization_ket("D", -2))
-    out = apply_local(identity_operator(range(-3, 4)), "A", state)
+    out = apply_local(LocalOperator(((POL_IDENTITY, None, 0),)), "A", state)
     assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_compose_matches_dense_matrix_product():
-    # oracle: dense matrix product on the same ordered label set
-    rng = np.random.default_rng(11)
-    ells = (-1, 0, 1)
-    op1, labels, q1 = _random_unitary_operator(rng, ells)
-    op2, _, q2 = _random_unitary_operator(rng, ells)
-    combined = compose(op2, op1)
-    dense = q2 @ q1
-    for i, out_lbl in enumerate(labels):
-        for j, in_lbl in enumerate(labels):
-            got = combined.entries.get((out_lbl, in_lbl), 0.0)
-            assert got == pytest.approx(dense[i, j], abs=1e-12)
-
-
-def test_two_unitaries_equal_composed_application():
-    rng = np.random.default_rng(13)
-    ells = (-1, 0, 1)
-    op1, _, _ = _random_unitary_operator(rng, ells)
-    op2, _, _ = _random_unitary_operator(rng, ells)
-    state = tensor(polarization_ket("L", 1), polarization_ket("A", 0))
-    stepwise = apply_local(op2, "A", apply_local(op1, "A", state))
-    fused = apply_local(compose(op2, op1), "A", state)
-    assert abs(state_overlap(stepwise, fused)) == pytest.approx(1.0, abs=1e-12)
-    for key, amp in stepwise.amplitudes.items():
-        assert fused.amplitudes.get(key, 0.0) == pytest.approx(amp, abs=1e-12)
 
 
 def test_unitary_sequences_preserve_norm():
     rng = np.random.default_rng(17)
     state = tensor(polarization_ket("D", 0), polarization_ket("R", 1))
     for _ in range(30):
-        op, _, _ = _random_unitary_operator(rng, (-1, 0, 1))
+        op = _random_unitary_operator(rng, (-1, 0, 1))
         arm = "A" if rng.random() < 0.5 else "B"
         state = apply_local(op, arm, state)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_flagged_unitary_is_checked():
-    entries = {((POL_H, 0), (POL_H, 0)): 0.5}
-    with pytest.raises(ValueError, match="not unitary"):
-        LocalOperator(entries, unitary=True)
-
-
 def test_oam_overflow_guard():
-    shift = local_operator({((POL_H, L_CAP + 1), (POL_H, L_CAP)): 1.0})
+    only_h = ((1.0 + 0.0j, 0.0j), (0.0j, 0.0j))
+    shift = LocalOperator(((only_h, L_CAP, 1),))
     state = tensor(basis_ket(POL_H, L_CAP), basis_ket(POL_H, 0))
     with pytest.raises(OamOverflowError, match="OAM support overflow"):
         apply_local(shift, "A", state)
