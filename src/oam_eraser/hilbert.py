@@ -172,7 +172,7 @@ def state_overlap(a: JointKet, b: JointKet) -> complex:
 # single-arm operators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalOperator:
     """Operator on one arm's (polarization x OAM) space, as a sum of terms.
 
@@ -214,7 +214,7 @@ def apply_local(op: LocalOperator, arm: str, state: JointKet) -> JointKet:
                 raise OamOverflowError("OAM support overflow")
             for pol_out in (POL_H, POL_V):
                 m = mat[pol_out][pol]
-                if not m:
+                if not m:  # a zero entry adds no label, nor a place in the order
                     continue
                 if arm == "A":
                     new_key = (pol_out, ell_out, key[2], key[3])

@@ -30,10 +30,11 @@ states = st.dictionaries(labels, amplitudes, min_size=1, max_size=8).map(joint_k
 arms = st.sampled_from(ARMS)
 charges = st.sampled_from((0.0, 0.5, 1.0, 1.5, -0.5, -1.0, -1.5))
 
-fast = settings(deadline=None)
+# no per-example deadline: timing depends on the host, the properties do not
+no_deadline = settings(deadline=None)
 
 
-@fast
+@no_deadline
 @given(states, charges, arms)
 def test_qplate_preserves_norm(state, q, arm):
     out, prob = apply_element(QPlateSpec(q=q, arm=arm), state)
@@ -41,7 +42,7 @@ def test_qplate_preserves_norm(state, q, arm):
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-@fast
+@no_deadline
 @given(states, st.sampled_from(("quarter", "half")),
        st.floats(0.0, math.pi, exclude_max=True), arms)
 def test_waveplate_preserves_norm(state, kind, fast_axis, arm):
@@ -50,7 +51,7 @@ def test_waveplate_preserves_norm(state, kind, fast_axis, arm):
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-@fast
+@no_deadline
 @given(states, st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0), arms)
 def test_orthogonal_polarizers_are_born_complete(state, alpha, extinction, arm):
     _, p = polarizer_apply(PolarizerSpec(alpha, extinction, arm), state)
@@ -62,7 +63,7 @@ def test_orthogonal_polarizers_are_born_complete(state, alpha, extinction, arm):
 near_cap = st.integers(L_CAP - 4, L_CAP) | st.integers(-L_CAP, 4 - L_CAP)
 
 
-@fast
+@no_deadline
 @given(pols, near_cap, charges)
 def test_qplate_overflows_exactly_past_the_cap(pol, ell, q):
     state = tensor(basis_ket(pol, ell), basis_ket(POL_H, 0))
