@@ -107,6 +107,211 @@ def test_counting_delay_becomes_arm_a_element():
     assert run.config.arm_delay("A") == pytest.approx(2.3 / 299792458.0)
 
 
+#: every element kind, an explicit delay on each arm, a gaussian source and
+#: non-default analyzer, counting and scan keys, some out of canonical order
+FULL = """\
+[source]
+kind = spdc
+l_max = 3
+spectrum = gaussian
+sigma_l = 1.5
+
+[arm_a.element]
+type = qplate
+q = 0.5
+
+[arm_a.element]
+type = delay
+extra_path_m = 1.25
+
+[arm_a.element]
+type = fiber
+accepted_l = 0
+
+[arm_a.element]
+type = waveplate
+kind = half
+fast_axis_rad = 0.3
+
+[arm_a.element]
+type = polarizer
+alpha_rad = 0.2
+
+[arm_b.element]
+type = hologram
+mode = binary
+l = 2
+
+[arm_b.element]
+type = delay
+extra_path_m = 0.5
+
+[arm_b.element]
+type = polarizer
+alpha_rad = 1
+extinction = 0.05
+
+[analyzers]
+hologram_theta_rad = 0.25
+alpha_rad = 0.4
+extinction = 0.01
+hologram_l = -2
+hologram_mode = binary
+
+[counting]
+seed = 7
+pair_rate_hz = 3000
+gate_s = 1e-9
+singles_a_hz = 2e4
+singles_b_hz = 150.5
+integration_time_s = 0.5
+
+[scan]
+variable = grid
+theta_start_rad = 0.1
+theta_stop_rad = 3
+theta_points = 10
+alpha_start_rad = -0.5
+alpha_stop_rad = 0.5
+alpha_points = 3
+"""
+
+#: canonical form of FULL: the arm-A delay moves to ``delay_m``
+FULL_EMITTED = """\
+[source]
+kind = spdc
+l_max = 3
+spectrum = gaussian
+sigma_l = 1.5
+
+[arm_a.element]
+type = qplate
+q = 0.5
+
+[arm_a.element]
+type = fiber
+accepted_l = 0
+
+[arm_a.element]
+type = waveplate
+kind = half
+fast_axis_rad = 0.3
+
+[arm_a.element]
+type = polarizer
+alpha_rad = 0.2
+extinction = 0.0
+
+[arm_b.element]
+type = hologram
+l = 2
+theta_rad = 0.0
+mode = binary
+
+[arm_b.element]
+type = delay
+extra_path_m = 0.5
+
+[arm_b.element]
+type = polarizer
+alpha_rad = 1.0
+extinction = 0.05
+
+[analyzers]
+alpha_rad = 0.4
+extinction = 0.01
+hologram_l = -2
+hologram_mode = binary
+hologram_theta_rad = 0.25
+
+[counting]
+pair_rate_hz = 3000.0
+integration_time_s = 0.5
+gate_s = 1e-09
+delay_m = 1.25
+singles_a_hz = 20000.0
+singles_b_hz = 150.5
+seed = 7
+
+[scan]
+variable = grid
+theta_start_rad = 0.1
+theta_stop_rad = 3.0
+theta_points = 10
+alpha_start_rad = -0.5
+alpha_stop_rad = 0.5
+alpha_points = 3
+"""
+
+
+def test_emitted_text_is_pinned():
+    assert emit_config(parse_config(FULL)) == FULL_EMITTED
+    assert emit_config(parse_config(FULL_EMITTED)) == FULL_EMITTED
+
+
+#: (document, message, line, key): one row per ConfigError path
+CONFIG_ERRORS = [
+    ("[source]\nkind spdc\n",
+     "expected 'key = value' (line 2)", 2, None),
+    ("l_max = 1\n",
+     "key outside any section (line 1, key 'l_max')", 1, "l_max"),
+    ("[source]\nl_max = 1\nl_max = 2\n",
+     "duplicate key (line 3, key 'l_max')", 3, "l_max"),
+    ("[scan]\n\n[scan]\n",
+     "duplicate section [scan] (line 3)", 3, None),
+    ("[mystery]\nx = 1\n",
+     "unknown section [mystery] (line 1)", 1, None),
+    ("[arm_a.element]\ntype = fiber\nfoo = 1\n",
+     "unknown key in [arm_a.element] (line 3, key 'foo')", 3, "foo"),
+    ("[scan]\nfoo = 1\n",
+     "unknown key in [scan] (line 2, key 'foo')", 2, "foo"),
+    # unknown keys are reported before conversion errors
+    ("[source]\nl_max = x\nfoo = 1\n",
+     "unknown key in [source] (line 3, key 'foo')", 3, "foo"),
+    ("[source]\nl_max = 1.5\n",
+     "expected int value, got '1.5' (line 2, key 'l_max')", 2, "l_max"),
+    ("[counting]\ngate_s = fast\n",
+     "expected float value, got 'fast' (line 2, key 'gate_s')", 2, "gate_s"),
+    # conversions run in canonical key order, not document order
+    ("[arm_b.element]\ntype = hologram\ntheta_rad = x\nl = y\n",
+     "expected int value, got 'y' (line 4, key 'l')", 4, "l"),
+    ("[arm_b.element]\nl = 1\n",
+     "element section needs a 'type' key (line 1)", 1, None),
+    ("[arm_a.element]\ntype = mirror\n",
+     "unknown element type 'mirror' (line 2, key 'type')", 2, "type"),
+    ("[arm_a.element]\ntype = waveplate\nfast_axis_rad = 0.1\n",
+     "element 'waveplate' needs key 'kind' (line 1)", 1, None),
+    ("[arm_a.element]\ntype = qplate\nq = 0.3\n",
+     "unphysical q-plate charge (line 1)", 1, None),
+    ("[source]\nkind = laser\n",
+     "unknown source kind 'laser' (line 1)", 1, None),
+    ("[analyzers]\nhologram_l = 0\n",
+     "hologram subspace index must be nonzero (line 1)", 1, None),
+    ("[counting]\ndelay_m = -1\ngate_s = 0\n",
+     "gate must be positive (line 1)", 1, None),
+    ("[counting]\ndelay_m = 1\n\n[arm_a.element]\ntype = delay\n"
+     "extra_path_m = 2\n",
+     "arm A has more than one delay element (line 1)", 1, None),
+    # a section guard with no [counting] section carries no line
+    ("[arm_a.element]\ntype = delay\nextra_path_m = 1\n\n[arm_a.element]\n"
+     "type = delay\nextra_path_m = 2\n",
+     "arm A has more than one delay element", None, None),
+    # sections are validated source first, whatever the document order
+    ("[scan]\nvariable = phi\n\n[source]\nkind = laser\n",
+     "unknown source kind 'laser' (line 4)", 4, None),
+    # elements are built before any single section is checked
+    ("[counting]\nfoo = 1\n\n[arm_a.element]\ntype = qplate\nq = 0.3\n",
+     "unphysical q-plate charge (line 4)", 4, None),
+]
+
+
+@pytest.mark.parametrize("text, message, line, key", CONFIG_ERRORS)
+def test_config_errors_are_pinned(text, message, line, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (str(err.value), err.value.line, err.value.key) == (message, line, key)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
