@@ -14,15 +14,22 @@ The format is a small line-based sections file::
     alpha_rad = 0.0
 
 Repeated ``[arm_a.element]`` / ``[arm_b.element]`` sections build the
-ordered element lists.  All angles are radians; unknown sections or keys
-are rejected with the offending line; every default is written out by the
-canonical emitter, so ``emit -> parse -> emit`` is byte-identical.
+ordered element lists.  All angles are radians.
+
+Each section, and each element type, has one ordered table mapping config
+key -> (dataclass field, type); parsing, key validation and the canonical
+emitter all read it.  An absent key keeps the default of its dataclass
+(``SourceSpec()``, ``CountingModel()``, ``ScanSpec()`` and the analyzers of
+``ExperimentConfig``); an element field without a default is a required key.
+Unknown sections or keys are rejected with the offending line.  The emitter
+writes every key in table order, defaults included, so
+``emit -> parse -> emit`` is byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -80,72 +87,64 @@ class RunSpec:
 
 
 # ---------------------------------------------------------------------------
-# schema tables: key -> (type tag, default); None default means required
+# schema: one ordered table per section, config key -> (dataclass field, type)
 
 
-_SOURCE_KEYS = {
-    "kind": ("str", "spdc"),
-    "l_max": ("int", 1),
-    "spectrum": ("str", "flat"),
-    "sigma_l": ("float", None),
+#: element type -> (spec class, keys); the section name sets the arm
+_ELEMENTS = {
+    "qplate": (el.QPlateSpec, {"q": ("q", float)}),
+    "waveplate": (el.WavePlateSpec, {"kind": ("kind", str),
+                                     "fast_axis_rad": ("fast_axis", float)}),
+    "polarizer": (el.PolarizerSpec, {"alpha_rad": ("alpha", float),
+                                     "extinction": ("extinction", float)}),
+    "fiber": (el.FiberSpec, {"accepted_l": ("accepted_ell", int)}),
+    "hologram": (el.HologramSpec, {"l": ("ell", int),
+                                   "theta_rad": ("theta", float),
+                                   "mode": ("mode", str)}),
+    "delay": (el.DelaySpec, {"extra_path_m": ("extra_path", float)}),
 }
 
-_ANALYZER_KEYS = {
-    "alpha_rad": ("float", 0.0),
-    "extinction": ("float", 0.0),
-    "hologram_l": ("int", 1),
-    "hologram_mode": ("str", "ideal"),
-    "hologram_theta_rad": ("float", 0.0),
+#: the single sections, in validation and emission order, with one table per
+#: dataclass they set: [analyzers] sets the arm-A polarizer with the polarizer
+#: element's keys, then the arm-B hologram
+_SINGLES = {
+    "source": ({
+        "kind": ("kind", str),
+        "l_max": ("l_max", int),
+        "spectrum": ("spectrum", str),
+        "sigma_l": ("sigma_ell", float),
+    },),
+    "analyzers": (_ELEMENTS["polarizer"][1], {
+        "hologram_l": ("ell", int),
+        "hologram_mode": ("mode", str),
+        "hologram_theta_rad": ("theta", float),
+    }),
+    "counting": ({
+        "pair_rate_hz": ("pair_rate", float),
+        "integration_time_s": ("integration_time", float),
+        "gate_s": ("gate", float),
+        "delay_m": ("extra_path", float),  # of a delay appended to arm A
+        "singles_a_hz": ("singles_a", float),
+        "singles_b_hz": ("singles_b", float),
+        "seed": ("seed", int),
+    },),
+    "scan": ({
+        "variable": ("variable", str),
+        "theta_start_rad": ("theta_start", float),
+        "theta_stop_rad": ("theta_stop", float),
+        "theta_points": ("theta_points", int),
+        "alpha_start_rad": ("alpha_start", float),
+        "alpha_stop_rad": ("alpha_stop", float),
+        "alpha_points": ("alpha_points", int),
+    },),
 }
-
-_COUNTING_KEYS = {
-    "pair_rate_hz": ("float", 1000.0),
-    "integration_time_s": ("float", 5.0),
-    "gate_s": ("float", 25e-9),
-    "delay_m": ("float", 0.0),
-    "singles_a_hz": ("float", 0.0),
-    "singles_b_hz": ("float", 0.0),
-    "seed": ("int", 0),
-}
-
-_SCAN_KEYS = {
-    "variable": ("str", "theta"),
-    "theta_start_rad": ("float", 0.0),
-    "theta_stop_rad": ("float", TWO_PI),
-    "theta_points": ("int", 72),
-    "alpha_start_rad": ("float", 0.0),
-    "alpha_stop_rad": ("float", math.pi / 4),
-    "alpha_points": ("int", 9),
-}
-
-_ELEMENT_KEYS = {
-    "qplate": {"q": ("float", None)},
-    "waveplate": {"kind": ("str", None), "fast_axis_rad": ("float", None)},
-    "polarizer": {"alpha_rad": ("float", None), "extinction": ("float", 0.0)},
-    "fiber": {"accepted_l": ("int", 0)},
-    "hologram": {"l": ("int", None), "theta_rad": ("float", 0.0),
-                 "mode": ("str", "ideal")},
-    "delay": {"extra_path_m": ("float", None)},
-}
-
-
-def _convert(raw: str, tag: str, line: int, key: str):
-    try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"expected {tag} value, got {raw!r}", line, key) from None
 
 
 class _Section:
     def __init__(self, name: str, line: int):
         self.name = name
         self.line = line
-        self.values: dict = {}
-        self.lines: dict = {}
+        self.entries: dict = {}  # key -> (raw value, line)
 
 
 def _tokenize(text: str):
@@ -165,126 +164,93 @@ def _tokenize(text: str):
         key, value = key.strip(), value.strip()
         if current is None:
             raise ConfigError("key outside any section", lineno, key)
-        if key in current.values:
+        if key in current.entries:
             raise ConfigError("duplicate key", lineno, key)
-        current.values[key] = value
-        current.lines[key] = lineno
+        current.entries[key] = (value, lineno)
     return sections
 
 
-def _take(section: _Section | None, schema: dict, name: str) -> dict:
-    out = {}
-    if section is not None:
-        for key in section.values:
-            if key not in schema:
-                raise ConfigError(f"unknown key in [{name}]",
-                                  section.lines[key], key)
-    for key, (tag, default) in schema.items():
-        if section is not None and key in section.values:
-            out[key] = _convert(section.values[key], tag,
-                                section.lines[key], key)
-        else:
-            out[key] = default
+def _values(section: _Section | None, *tables) -> list:
+    """One ``{field: value}`` dict per table of the keys present.
+
+    Unknown keys are reported before any conversion error, and keys are
+    converted in table order.
+    """
+    entries = section.entries if section is not None else {}
+    for key, (_, line) in entries.items():
+        if not any(key in keys for keys in tables):
+            raise ConfigError(f"unknown key in [{section.name}]", line, key)
+    out = []
+    for keys in tables:
+        values = {}
+        for key, (field, kind) in keys.items():
+            if key in entries:
+                raw, line = entries[key]
+                try:
+                    values[field] = kind(raw)
+                except ValueError:
+                    raise ConfigError(
+                        f"expected {kind.__name__} value, got {raw!r}",
+                        line, key) from None
+        out.append(values)
     return out
 
 
 def _build_element(section: _Section):
-    if "type" not in section.values:
+    if "type" not in section.entries:
         raise ConfigError("element section needs a 'type' key", section.line)
-    etype = section.values["type"]
-    if etype not in _ELEMENT_KEYS:
-        raise ConfigError(f"unknown element type {etype!r}",
-                          section.lines["type"], "type")
-    schema = _ELEMENT_KEYS[etype]
-    body = _Section(section.name, section.line)
-    body.values = {k: v for k, v in section.values.items() if k != "type"}
-    body.lines = {k: v for k, v in section.lines.items() if k != "type"}
-    vals = _take(body, schema, section.name)
-    for key, (_, default) in schema.items():
-        if vals[key] is None and default is None:
+    etype, line = section.entries.pop("type")
+    if etype not in _ELEMENTS:
+        raise ConfigError(f"unknown element type {etype!r}", line, "type")
+    cls, keys = _ELEMENTS[etype]
+    (values,) = _values(section, keys)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for key, (field, _) in keys.items():
+        if field in required and field not in values:
             raise ConfigError(f"element '{etype}' needs key '{key}'", section.line)
     arm = "A" if section.name == "arm_a.element" else "B"
     try:
-        if etype == "qplate":
-            return el.QPlateSpec(q=vals["q"], arm=arm)
-        if etype == "waveplate":
-            return el.WavePlateSpec(kind=vals["kind"],
-                                    fast_axis=vals["fast_axis_rad"], arm=arm)
-        if etype == "polarizer":
-            return el.PolarizerSpec(alpha=vals["alpha_rad"],
-                                    extinction=vals["extinction"], arm=arm)
-        if etype == "fiber":
-            return el.FiberSpec(arm=arm, accepted_ell=vals["accepted_l"])
-        if etype == "hologram":
-            return el.HologramSpec(ell=vals["l"], theta=vals["theta_rad"],
-                                   mode=vals["mode"], arm=arm)
-        return el.DelaySpec(extra_path=vals["extra_path_m"], arm=arm)
+        return cls(**values, arm=arm)
     except ValueError as exc:
         raise ConfigError(str(exc), section.line) from exc
 
 
 def parse_config(text: str) -> RunSpec:
     """Parse and validate a configuration document."""
-    sections = _tokenize(text)
     singles: dict = {}
-    arm_a, arm_b = [], []
-    for section in sections:
-        if section.name == "arm_a.element":
-            arm_a.append(_build_element(section))
-        elif section.name == "arm_b.element":
-            arm_b.append(_build_element(section))
-        elif section.name in ("source", "analyzers", "counting", "scan"):
+    arms = {"arm_a.element": [], "arm_b.element": []}
+    for section in _tokenize(text):
+        if section.name in arms:
+            arms[section.name].append(_build_element(section))
+        elif section.name in _SINGLES:
             if section.name in singles:
                 raise ConfigError(f"duplicate section [{section.name}]",
                                   section.line)
             singles[section.name] = section
         else:
             raise ConfigError(f"unknown section [{section.name}]", section.line)
+    (src,), (pol, holo), (cnt,), (scn,) = (
+        _values(singles.get(name), *tables) for name, tables in _SINGLES.items())
 
-    src = _take(singles.get("source"), _SOURCE_KEYS, "source")
-    ana = _take(singles.get("analyzers"), _ANALYZER_KEYS, "analyzers")
-    cnt = _take(singles.get("counting"), _COUNTING_KEYS, "counting")
-    scn = _take(singles.get("scan"), _SCAN_KEYS, "scan")
-
-    def guard(build, section_name):
-        section = singles.get(section_name)
+    def guard(section_name, build, /, *args, **kwargs):
         try:
-            return build()
+            return build(*args, **kwargs)
         except ValueError as exc:
+            section = singles.get(section_name)
             raise ConfigError(
                 str(exc), section.line if section else None) from exc
 
-    source = guard(lambda: SourceSpec(kind=src["kind"], l_max=src["l_max"],
-                                      spectrum=src["spectrum"],
-                                      sigma_ell=src["sigma_l"]), "source")
-    counting = guard(lambda: CountingModel(
-        pair_rate=cnt["pair_rate_hz"],
-        integration_time=cnt["integration_time_s"],
-        gate=cnt["gate_s"],
-        singles_a=cnt["singles_a_hz"],
-        singles_b=cnt["singles_b_hz"],
-        seed=cnt["seed"]), "counting")
-    analyzer_a = guard(lambda: el.PolarizerSpec(
-        alpha=ana["alpha_rad"], extinction=ana["extinction"], arm="A"),
-        "analyzers")
-    analyzer_b = guard(lambda: el.HologramSpec(
-        ell=ana["hologram_l"], theta=ana["hologram_theta_rad"],
-        mode=ana["hologram_mode"], arm="B"), "analyzers")
-    if cnt["delay_m"] > 0.0:
-        arm_a.append(guard(lambda: el.DelaySpec(extra_path=cnt["delay_m"],
-                                                arm="A"), "counting"))
-    config = guard(lambda: ExperimentConfig(
-        source=source, elements_a=tuple(arm_a), elements_b=tuple(arm_b),
-        analyzer_a=analyzer_a, analyzer_b=analyzer_b, counting=counting),
-        "counting")
-    scan = guard(lambda: ScanSpec(
-        variable=scn["variable"],
-        theta_start=scn["theta_start_rad"],
-        theta_stop=scn["theta_stop_rad"],
-        theta_points=scn["theta_points"],
-        alpha_start=scn["alpha_start_rad"],
-        alpha_stop=scn["alpha_stop_rad"],
-        alpha_points=scn["alpha_points"]), "scan")
+    source = guard("source", replace, SourceSpec(), **src)
+    delay_m = cnt.pop("extra_path", 0.0)
+    counting = guard("counting", replace, CountingModel(), **cnt)
+    analyzer_a = guard("analyzers", replace, ExperimentConfig.analyzer_a, **pol)
+    analyzer_b = guard("analyzers", replace, ExperimentConfig.analyzer_b, **holo)
+    elements_a = arms["arm_a.element"]
+    if delay_m > 0.0:
+        elements_a.append(guard("counting", el.DelaySpec, delay_m, arm="A"))
+    config = guard("counting", ExperimentConfig, source, tuple(elements_a),
+                   tuple(arms["arm_b.element"]), analyzer_a, analyzer_b, counting)
+    scan = guard("scan", replace, ScanSpec(), **scn)
     return RunSpec(config=config, scan=scan)
 
 
@@ -305,70 +271,37 @@ def _num(value) -> str:
     return repr(float(value))
 
 
-def _element_lines(spec) -> list:
-    name = el.element_name(spec)
-    lines = [f"type = {name}"]
-    if isinstance(spec, el.QPlateSpec):
-        lines.append(f"q = {_num(spec.q)}")
-    elif isinstance(spec, el.WavePlateSpec):
-        lines.append(f"kind = {spec.kind}")
-        lines.append(f"fast_axis_rad = {_num(spec.fast_axis)}")
-    elif isinstance(spec, el.PolarizerSpec):
-        lines.append(f"alpha_rad = {_num(spec.alpha)}")
-        lines.append(f"extinction = {_num(spec.extinction)}")
-    elif isinstance(spec, el.FiberSpec):
-        lines.append(f"accepted_l = {_num(spec.accepted_ell)}")
-    elif isinstance(spec, el.HologramSpec):
-        lines.append(f"l = {_num(spec.ell)}")
-        lines.append(f"theta_rad = {_num(spec.theta)}")
-        lines.append(f"mode = {spec.mode}")
-    elif isinstance(spec, el.DelaySpec):
-        lines.append(f"extra_path_m = {_num(spec.extra_path)}")
-    return lines
+def _lines(tables, values) -> list:
+    """``key = value`` lines, table by table in key order, for one field dict
+    per table; unset values (``None``, only ``sigma_l``) are left out."""
+    out = []
+    for keys, by_field in zip(tables, values):
+        for key, (field, kind) in keys.items():
+            value = by_field[field]
+            if value is not None:
+                out.append(f"{key} = {value if kind is str else _num(value)}")
+    return out
 
 
 def emit_config(run: RunSpec) -> str:
-    """Canonical text form: fixed section/key order, defaults included."""
-    cfg, scan = run.config, run.scan
-    out = ["[source]",
-           f"kind = {cfg.source.kind}",
-           f"l_max = {_num(cfg.source.l_max)}",
-           f"spectrum = {cfg.source.spectrum}"]
-    if cfg.source.sigma_ell is not None:
-        out.append(f"sigma_l = {_num(cfg.source.sigma_ell)}")
+    """Canonical text form: sections and keys in table order, defaults included."""
+    cfg = run.config
     delay_m = 0.0
-    for arm_name, elems in (("arm_a", cfg.elements_a), ("arm_b", cfg.elements_b)):
-        for spec in elems:
-            if isinstance(spec, el.DelaySpec) and arm_name == "arm_a":
+    elements = []
+    for arm, specs in (("arm_a", cfg.elements_a), ("arm_b", cfg.elements_b)):
+        for spec in specs:
+            if arm == "arm_a" and isinstance(spec, el.DelaySpec):
                 delay_m = spec.extra_path  # emitted under [counting]
                 continue
-            out.append("")
-            out.append(f"[{arm_name}.element]")
-            out.extend(_element_lines(spec))
-    out += ["",
-            "[analyzers]",
-            f"alpha_rad = {_num(cfg.analyzer_a.alpha)}",
-            f"extinction = {_num(cfg.analyzer_a.extinction)}",
-            f"hologram_l = {_num(cfg.analyzer_b.ell)}",
-            f"hologram_mode = {cfg.analyzer_b.mode}",
-            f"hologram_theta_rad = {_num(cfg.analyzer_b.theta)}"]
-    cm = cfg.counting
-    out += ["",
-            "[counting]",
-            f"pair_rate_hz = {_num(cm.pair_rate)}",
-            f"integration_time_s = {_num(cm.integration_time)}",
-            f"gate_s = {_num(cm.gate)}",
-            f"delay_m = {_num(delay_m)}",
-            f"singles_a_hz = {_num(cm.singles_a)}",
-            f"singles_b_hz = {_num(cm.singles_b)}",
-            f"seed = {_num(cm.seed)}"]
-    out += ["",
-            "[scan]",
-            f"variable = {scan.variable}",
-            f"theta_start_rad = {_num(scan.theta_start)}",
-            f"theta_stop_rad = {_num(scan.theta_stop)}",
-            f"theta_points = {_num(scan.theta_points)}",
-            f"alpha_start_rad = {_num(scan.alpha_start)}",
-            f"alpha_stop_rad = {_num(scan.alpha_stop)}",
-            f"alpha_points = {_num(scan.alpha_points)}"]
-    return "\n".join(out) + "\n"
+            name = el.element_name(spec)
+            elements.append([f"[{arm}.element]", f"type = {name}",
+                             *_lines((_ELEMENTS[name][1],), (vars(spec),))])
+    # one field dict per table of _SINGLES, in its order
+    values = ((vars(cfg.source),),
+              (vars(cfg.analyzer_a), vars(cfg.analyzer_b)),
+              ({**vars(cfg.counting), "extra_path": delay_m},),
+              (vars(run.scan),))
+    blocks = [[f"[{name}]", *_lines(tables, vals)]
+              for (name, tables), vals in zip(_SINGLES.items(), values)]
+    blocks[1:1] = elements  # element sections follow [source]
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
