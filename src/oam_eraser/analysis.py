@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import elements as el
-from .hilbert import NULL_TOL, JointKet, reduced_density
+from .hilbert import (NULL_TOL, JointKet, checked_probability,
+                      reduced_density)
 from .experiment import (
     ExperimentConfig,
     ScanSeries,
@@ -122,6 +123,8 @@ def visibility(series: ScanSeries) -> float:
     if series.fit is not None:
         if series.fit.offset <= 0.0:
             raise ValueError("no signal")
+        # clamped, not checked: a sinusoid fit to noisy counts can
+        # legitimately give amplitude/offset > 1
         return min(max(series.fit.amplitude / series.fit.offset, 0.0), 1.0)
     values = np.asarray(series.probabilities, dtype=float)
     span = max(series.settings) - min(series.settings)
@@ -250,7 +253,7 @@ def distinguishability(state: JointKet, ell: int, path_arm: str = "B") -> float:
         marker_arm, "both", basis=basis)
     diff = p_plus * rho_plus.matrix - p_minus * rho_minus.matrix
     d = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return min(max(d, 0.0), 1.0)
+    return checked_probability(d)
 
 
 def complementarity_check(vis: float, dist: float) -> ComplementarityRecord:

@@ -16,14 +16,12 @@ The format is a small line-based sections file::
 Repeated ``[arm_a.element]`` / ``[arm_b.element]`` sections build the
 ordered element lists.  All angles are radians.
 
-Each section, and each element type, has one ordered table mapping config
-key -> (dataclass field, type); parsing, key validation and the canonical
-emitter all read it.  An absent key keeps the default of its dataclass
-(``SourceSpec()``, ``CountingModel()``, ``ScanSpec()`` and the analyzers of
-``ExperimentConfig``); an element field without a default is a required key.
-Unknown sections or keys are rejected with the offending line.  The emitter
-writes every key in table order, defaults included, so
-``emit -> parse -> emit`` is byte-identical.
+One ordered table per section, and per element type, maps each config key
+to a dataclass field and its type; parsing, the key checks and the emitter
+all read it.  Absent keys keep the dataclass defaults, and an element field
+without a default is a required key.  Unknown sections or keys are rejected
+with the offending line.  The emitter writes every key in table order,
+defaults included, so ``emit -> parse -> emit`` is byte-identical.
 """
 
 from __future__ import annotations
@@ -171,11 +169,8 @@ def _tokenize(text: str):
 
 
 def _values(section: _Section | None, *tables) -> list:
-    """One ``{field: value}`` dict per table of the keys present.
-
-    Unknown keys are reported before any conversion error, and keys are
-    converted in table order.
-    """
+    """One ``{field: value}`` dict per table, of the keys present; unknown
+    keys are reported before conversion errors, which come in table order."""
     entries = section.entries if section is not None else {}
     for key, (_, line) in entries.items():
         if not any(key in keys for keys in tables):

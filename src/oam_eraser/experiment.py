@@ -37,6 +37,7 @@ from .hilbert import (
     PRUNE_TOL,
     JointKet,
     apply_local,
+    checked_probability,
     joint_ket,
     postselect_local,
 )
@@ -285,7 +286,7 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
     detected = scale * sector[:, None, None, None, :] * overlap[..., None]
     detected[np.abs(detected) < PRUNE_TOL] = 0.0
     p_holo = np.sum(np.abs(detected) ** 2, axis=(2, 3, 4, 5))
-    return p_pol[:, None] * p_holo, np.minimum(p_holo, 1.0)
+    return p_pol[:, None] * p_holo, checked_probability(p_holo)
 
 
 def coincidence_probability(config: ExperimentConfig,
@@ -351,12 +352,13 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
         raise NullOutcomeError("polarizer[analyzer_a]")
     if order == "A_first":
         state_a, _ = postselect_local(pol_op, arm_a, state)
-        return min(_projection_probability(holo_op, arm_b, state_a), 1.0)
+        return checked_probability(
+            _projection_probability(holo_op, arm_b, state_a))
     state_b, p_b = postselect_local(holo_op, arm_b, state)
     if state_b is None:
         return 0.0
     p_a_given_b = _projection_probability(pol_op, arm_a, state_b)
-    return min(p_b * p_a_given_b / p_a, 1.0)
+    return checked_probability(p_b * p_a_given_b / p_a)
 
 
 # ---------------------------------------------------------------------------

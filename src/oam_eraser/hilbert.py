@@ -58,6 +58,21 @@ def _check_finite(amplitudes: Mapping) -> None:
             raise ValueError("non-finite amplitude")
 
 
+def checked_probability(p):
+    """Clip a probability (a number or an array) into [0, 1].
+
+    Values within ``1e-12`` of the range are rounding error and are clipped;
+    anything further out is a bug upstream and raises ``ValueError``.
+    """
+    values = np.asarray(p)
+    outside = ~((values >= -1e-12) & (values <= 1.0 + 1e-12))
+    if np.any(outside):
+        raise ValueError(
+            f"probability {float(values[outside][0])!r} outside [0, 1]")
+    clipped = np.clip(values, 0.0, 1.0)
+    return clipped if isinstance(p, np.ndarray) else float(clipped)
+
+
 # ---------------------------------------------------------------------------
 # single-arm states
 
@@ -142,7 +157,7 @@ def joint_ket(amplitudes: Mapping, norm_tracked: float = 1.0) -> JointKet:
     if n < NULL_TOL:
         raise ValueError("cannot normalize a null state")
     amps = _prune({k: a / n for k, a in amps.items()})
-    return JointKet(amps, min(max(norm_tracked, 0.0), 1.0))
+    return JointKet(amps, checked_probability(norm_tracked))
 
 
 def tensor(ket_a: LocalKet, ket_b: LocalKet) -> JointKet:
@@ -237,7 +252,7 @@ def postselect_local(op: LocalOperator, arm: str, state: JointKet):
         return None, 0.0
     scale = 1.0 / math.sqrt(p)
     amps = _prune({k: a * scale for k, a in raw.amplitudes.items()})
-    return JointKet(amps, min(state.norm_tracked * p, 1.0)), p
+    return JointKet(amps, checked_probability(state.norm_tracked * p)), p
 
 
 def project(state: JointKet, arm: str, target: LocalKet):
@@ -272,7 +287,7 @@ def project(state: JointKet, arm: str, target: LocalKet):
             else:
                 key = (rest[0], rest[1], local_lbl[0], local_lbl[1])
             amps[key] = t * r * scale
-    return JointKet(_prune(amps), min(state.norm_tracked * p, 1.0)), p
+    return JointKet(_prune(amps), checked_probability(state.norm_tracked * p)), p
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -483,3 +487,22 @@ def test_demo_outputs_are_byte_stable(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in DEMO_DIGESTS}
     assert got == DEMO_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# demo scripts
+
+DEMOS = sorted(DEMO_CONFIG.parent.glob("0*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
+def test_demo_script_runs(script, tmp_path):
+    # run a copy: the demos write their files next to themselves
+    copy = tmp_path / script.name
+    shutil.copy(script, copy)
+    src = DEMO_CONFIG.parent.parent / "src"
+    result = subprocess.run([sys.executable, str(copy)], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

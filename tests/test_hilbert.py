@@ -13,6 +13,7 @@ from oam_eraser.hilbert import (
     OamOverflowError,
     apply_local,
     basis_ket,
+    checked_probability,
     density_matrix,
     joint_ket,
     polarization_ket,
@@ -163,6 +164,18 @@ def test_project_tracks_success_probability():
     state = bell_circular()
     post, prob = project(state, "A", polarization_ket("R"))
     assert post.norm_tracked == pytest.approx(prob, abs=1e-12)
+
+
+def test_probabilities_are_checked_not_clamped():
+    assert checked_probability(1.0 + 1e-15) == 1.0
+    assert checked_probability(-1e-15) == 0.0
+    clipped = checked_probability(np.array([1.0 + 1e-15, 0.5, -1e-15]))
+    assert clipped.tolist() == [1.0, 0.5, 0.0]
+    for bad in (1.0 + 1e-9, -1e-9, np.array([0.5, 1.0 + 1e-9]), math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            checked_probability(bad)
+    with pytest.raises(ValueError, match="outside"):
+        joint_ket({(POL_H, 0, POL_H, 0): 1.0}, norm_tracked=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Property-based checks of the element operators on random states."""
+"""Property-based checks of the element operators on random states, and of
+the config emitter and parser on random runs."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oam_eraser.configio import RunSpec, ScanSpec, emit_config, parse_config
 from oam_eraser.elements import (
+    DelaySpec,
+    FiberSpec,
+    HologramSpec,
     PolarizerSpec,
     QPlateSpec,
     WavePlateSpec,
     apply_element,
     polarizer_apply,
 )
+from oam_eraser.experiment import CountingModel, ExperimentConfig, SourceSpec
 from oam_eraser.hilbert import (
     ARMS,
     L_CAP,
@@ -74,3 +81,73 @@ def test_qplate_overflows_exactly_past_the_cap(pol, ell, q):
     else:
         out, _ = apply_element(spec, state)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# config documents
+
+reals = st.floats(-1e3, 1e3, allow_nan=False)
+non_negative = st.floats(0.0, 1e6, allow_nan=False)
+unit = st.floats(0.0, 1.0)
+ells = st.integers(-L_CAP, L_CAP).filter(bool)
+modes = st.sampled_from(("ideal", "binary"))
+
+
+def element_specs(arm):
+    return st.one_of(
+        st.builds(QPlateSpec, q=charges, arm=st.just(arm)),
+        st.builds(WavePlateSpec, kind=st.sampled_from(("quarter", "half")),
+                  fast_axis=st.floats(0.0, math.pi, exclude_max=True),
+                  arm=st.just(arm)),
+        st.builds(PolarizerSpec, alpha=reals, extinction=unit, arm=st.just(arm)),
+        st.builds(FiberSpec, arm=st.just(arm),
+                  accepted_ell=st.integers(-L_CAP, L_CAP)),
+        st.builds(HologramSpec, ell=ells, theta=reals, mode=modes,
+                  arm=st.just(arm)),
+        st.builds(DelaySpec, extra_path=non_negative, arm=st.just(arm)),
+    )
+
+
+def element_lists(arm):
+    return st.lists(element_specs(arm), max_size=5).filter(
+        lambda specs: sum(isinstance(s, DelaySpec) for s in specs) <= 1)
+
+
+sources = st.one_of(
+    st.builds(SourceSpec, kind=st.sampled_from(("spdc", "generic_two_path")),
+              l_max=st.integers(0, L_CAP), spectrum=st.just("flat"),
+              sigma_ell=st.none() | st.floats(1e-3, 1e3)),
+    st.builds(SourceSpec, l_max=st.integers(0, L_CAP),
+              spectrum=st.just("gaussian"), sigma_ell=st.floats(1e-3, 1e3)),
+)
+configs = st.builds(
+    ExperimentConfig, source=sources,
+    elements_a=element_lists("A").map(tuple),
+    elements_b=element_lists("B").map(tuple),
+    analyzer_a=st.builds(PolarizerSpec, alpha=reals, extinction=unit,
+                         arm=st.just("A")),
+    analyzer_b=st.builds(HologramSpec, ell=ells, theta=reals, mode=modes,
+                         arm=st.just("B")),
+    counting=st.builds(CountingModel, pair_rate=non_negative,
+                       integration_time=non_negative,
+                       gate=st.floats(1e-12, 1.0), singles_a=non_negative,
+                       singles_b=non_negative, seed=st.integers(0, 2**32)))
+scans = st.builds(ScanSpec, variable=st.sampled_from(("theta", "alpha", "grid")),
+                  theta_start=reals, theta_stop=reals,
+                  theta_points=st.integers(1, 500), alpha_start=reals,
+                  alpha_stop=reals, alpha_points=st.integers(1, 500))
+
+
+@no_deadline
+@given(st.builds(RunSpec, config=configs, scan=scans))
+def test_emit_parse_emit_is_a_fixed_point(run):
+    text = emit_config(run)
+    parsed = parse_config(text)
+    assert emit_config(parsed) == text
+    # an arm-A delay is written as [counting] delay_m, so it comes back last
+    # on arm A, and not at all for a zero path
+    specs = run.config.elements_a
+    delays = [s for s in specs if isinstance(s, DelaySpec) and s.extra_path > 0]
+    moved = [s for s in specs if not isinstance(s, DelaySpec)] + delays
+    assert parsed.config == replace(run.config, elements_a=tuple(moved))
+    assert parsed.scan == run.scan
