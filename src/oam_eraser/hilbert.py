@@ -64,13 +64,13 @@ def checked_probability(p):
     Values within ``1e-12`` of the range are rounding error and are clipped;
     anything further out is a bug upstream and raises ``ValueError``.
     """
-    values = np.asarray(p)
-    outside = ~((values >= -1e-12) & (values <= 1.0 + 1e-12))
-    if np.any(outside):
-        raise ValueError(
-            f"probability {float(values[outside][0])!r} outside [0, 1]")
-    clipped = np.clip(values, 0.0, 1.0)
-    return clipped if isinstance(p, np.ndarray) else float(clipped)
+    is_array = isinstance(p, np.ndarray)
+    lo, hi = (p.min(initial=0.0), p.max(initial=0.0)) if is_array else (p, p)
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # NaN fails both
+        raise ValueError(f"probability {lo if lo < 0 else hi!r} outside [0, 1]")
+    if is_array:
+        return np.minimum(np.maximum(p, 0.0), 1.0)
+    return min(max(p, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
