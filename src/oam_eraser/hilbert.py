@@ -68,9 +68,9 @@ def checked_probability(p):
     lo, hi = (p.min(initial=0.0), p.max(initial=0.0)) if is_array else (p, p)
     if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):  # NaN fails both
         raise ValueError(f"probability {lo if lo < 0 else hi!r} outside [0, 1]")
-    if is_array:
-        return np.minimum(np.maximum(p, 0.0), 1.0)
-    return min(max(p, 0.0), 1.0)
+    if lo >= 0.0 and hi <= 1.0:
+        return p
+    return np.clip(p, 0.0, 1.0) if is_array else min(max(p, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
