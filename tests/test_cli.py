@@ -489,6 +489,33 @@ def test_demo_outputs_are_byte_stable(tmp_path):
     assert got == DEMO_DIGESTS
 
 
+#: the demo config with accidentals on both arms, an arm-A delay and a 2 µs
+#: gate, so clusters of up to nine clicks fall within one gate
+ACCIDENTAL_OVERRIDES = (("pair_rate_hz = 2000.0", "pair_rate_hz = 20000.0"),
+                        ("gate_s = 2.5e-08", "gate_s = 2e-06"),
+                        ("delay_m = 0.0", "delay_m = 4.5"),
+                        ("singles_a_hz = 0.0", "singles_a_hz = 150000.0"),
+                        ("singles_b_hz = 0.0", "singles_b_hz = 100000.0"))
+
+
+def test_accidental_timeline_is_byte_stable(tmp_path, capsys):
+    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    for old, new in ACCIDENTAL_OVERRIDES:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "accidental.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["timeline", str(path), "--duration-s", "0.02",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("timeline: 892 coincidences")
+    summary = (tmp_path / "timeline_summary.csv").read_text().splitlines()
+    assert "coincidences,892" in summary and "events,5125" in summary
+    events = (tmp_path / "timeline_events.csv").read_bytes()
+    assert b",accidental\n" in events
+    assert hashlib.sha256(events).hexdigest() == \
+        "1ebe342cc761cc7883cb0f9729d38d45f64c303d6949faafe20e3329005b1777"
+
+
 # ---------------------------------------------------------------------------
 # demo scripts
 
