@@ -44,6 +44,7 @@ from .elements import (
 from .experiment import (
     CountingModel,
     EventRecord,
+    EventTable,
     ExperimentConfig,
     NullOutcomeError,
     ScanSeries,

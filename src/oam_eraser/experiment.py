@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import chain, repeat
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,11 +151,57 @@ class ExperimentConfig:
         return 0.0
 
 
-@dataclass(frozen=True)
-class EventRecord:
+#: event tag by true-pair flag
+TAGS = ("accidental", "true_pair")
+
+
+class EventRecord(NamedTuple):
+    """One detector click, as :class:`EventTable` yields them."""
+
     arm: str
     timestamp: float
-    tag: str  # "true_pair" or "accidental"
+    tag: str  # one of TAGS
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Detector clicks as columns: per arm, the click times in seconds,
+    sorted, and a mask of the clicks that belong to a detected pair.  The
+    arrays are made read-only.
+
+    Iterating yields one :class:`EventRecord` per click, arm A then arm B,
+    each arm in time order.  The records are built on the first iteration
+    and kept, so readers that pass over the events several times build them
+    once; code that reads the columns never builds them.
+    """
+
+    times_a: np.ndarray
+    true_pair_a: np.ndarray
+    times_b: np.ndarray
+    true_pair_b: np.ndarray
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def arms(self) -> tuple:
+        """``(arm, times, true_pair)`` for arm A, then arm B."""
+        return (("A", self.times_a, self.true_pair_a),
+                ("B", self.times_b, self.true_pair_b))
+
+    def __len__(self) -> int:
+        return len(self.times_a) + len(self.times_b)
+
+    def __iter__(self):
+        return iter(self._records)
+
+    @cached_property
+    def _records(self) -> tuple:
+        record = partial(tuple.__new__, EventRecord)  # skips the Python __new__
+        return tuple(chain.from_iterable(
+            map(record, zip(repeat(arm), times.tolist(),
+                            map(TAGS.__getitem__, true_pair.tolist())))
+            for arm, times, true_pair in self.arms()))
 
 
 @dataclass(frozen=True)
@@ -405,14 +453,14 @@ def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,
     element.  Uncorrelated accidental singles are injected at the
     configured rates.  Two clicks coincide when ``|t_A - t_B| <= gate``.
 
-    Returns ``(events, coincidences)`` with per-arm time-ordered events.
+    Returns ``(events, coincidences)``: an :class:`EventTable` with each
+    arm's clicks in time order (a true-pair click first on equal times),
+    and the greedy coincidence count.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     cm = config.counting
     joint, _ = coincidence_probability(config, alpha, theta)
-    delay_a = config.arm_delay("A")
-    delay_b = config.arm_delay("B")
 
     def rng(stream: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -421,43 +469,53 @@ def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,
     emit = rng(1)
     n_pairs = emit.poisson(cm.pair_rate * duration)
     pair_times = np.sort(emit.uniform(0.0, duration, n_pairs))
-    detected = rng(2).random(n_pairs) < joint
+    pair_times = pair_times[rng(2).random(n_pairs) < joint]
 
-    def accidental_times(stream: int, rate: float) -> np.ndarray:
-        if rate <= 0.0:
-            return np.empty(0)
-        r = rng(stream)
-        return np.sort(r.uniform(0.0, duration, r.poisson(rate * duration)))
+    def arm_clicks(arm: str, stream: int, rate: float):
+        times = pair_times + config.arm_delay(arm)
+        if rate > 0.0:
+            r = rng(stream)
+            accidental = np.sort(r.uniform(0.0, duration,
+                                           r.poisson(rate * duration)))
+            times = np.concatenate([times, accidental])
+        order = np.argsort(times, kind="stable")
+        return times[order], order < len(pair_times)
 
-    acc_a = accidental_times(3, cm.singles_a)
-    acc_b = accidental_times(4, cm.singles_b)
-
-    times_a = np.concatenate([pair_times[detected] + delay_a, acc_a])
-    tags_a = ["true_pair"] * int(detected.sum()) + ["accidental"] * len(acc_a)
-    times_b = np.concatenate([pair_times[detected] + delay_b, acc_b])
-    tags_b = ["true_pair"] * int(detected.sum()) + ["accidental"] * len(acc_b)
-
-    order_a = np.argsort(times_a, kind="stable")
-    order_b = np.argsort(times_b, kind="stable")
-    events = [EventRecord("A", float(times_a[i]), tags_a[i]) for i in order_a]
-    events += [EventRecord("B", float(times_b[i]), tags_b[i]) for i in order_b]
-
-    coincidences = _count_coincidences(times_a[order_a], times_b[order_b], cm.gate)
-    return events, coincidences
+    times_a, true_pair_a = arm_clicks("A", 3, cm.singles_a)
+    times_b, true_pair_b = arm_clicks("B", 4, cm.singles_b)
+    events = EventTable(times_a, true_pair_a, times_b, true_pair_b)
+    return events, _count_coincidences(times_a, times_b, cm.gate)
 
 
 def _count_coincidences(times_a: np.ndarray, times_b: np.ndarray,
                         gate: float) -> int:
-    """Greedy gate matching over two sorted click streams."""
-    i = j = matched = 0
-    while i < len(times_a) and j < len(times_b):
+    """Greedy gate matching over two sorted click streams.
+
+    The count equals a walk with one pointer per stream: the current clicks
+    match when ``|t_A - t_B| <= gate`` and both pointers advance; otherwise
+    the earlier click is dropped.  Rounded subtraction is monotone, so no
+    match spans a gap wider than the gate in the merged stream.  The walk
+    therefore runs on all clusters between such gaps at once, one step per
+    round, until every cluster has run out of clicks on one arm.
+    """
+    if len(times_a) == 0 or len(times_b) == 0:
+        return 0
+    merged = np.sort(np.concatenate([times_a, times_b]), kind="stable")
+    starts = merged[1:][np.diff(merged) > gate]
+    bounds = []
+    for times in (times_a, times_b):
+        cuts = np.searchsorted(times, starts)
+        bounds += [np.r_[0, cuts], np.r_[cuts, len(times)]]
+    walk = np.stack(bounds)  # rows: pointer and end on A, then on B
+    walk = walk[:, (walk[0] < walk[1]) & (walk[2] < walk[3])]
+    matched = 0
+    while walk.shape[1]:
+        i, end_a, j, end_b = walk
         dt = times_a[i] - times_b[j]
-        if abs(dt) <= gate:
-            matched += 1
-            i += 1
-            j += 1
-        elif dt < 0:
-            i += 1
-        else:
-            j += 1
+        hit = np.abs(dt) <= gate
+        early = dt < 0
+        matched += int(np.count_nonzero(hit))
+        i += hit | early
+        j += hit | ~early
+        walk = walk[:, (i < end_a) & (j < end_b)]
     return matched

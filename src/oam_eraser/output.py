@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .analysis import FringeFit
-from .experiment import ScanSeries
+from .experiment import TAGS, EventTable, ScanSeries
 
 
 def fmt(value: float) -> str:
@@ -84,11 +84,15 @@ def grid_csv(alphas, thetas, joint, conditional) -> str:
     return "\n".join(lines) + "\n"
 
 
-def events_csv(events) -> str:
-    lines = ["arm,timestamp_s,tag"]
-    for ev in events:
-        lines.append(f"{ev.arm},{fmt(ev.timestamp)},{ev.tag}")
-    return "\n".join(lines) + "\n"
+def events_csv(events: EventTable) -> str:
+    """One row per click, arm A then arm B, formatted by one ``%`` over a
+    per-row template; ``%.12g`` prints each time as :func:`fmt` does."""
+    rows, times = ["arm,timestamp_s,tag"], []
+    for arm, arm_times, true_pair in events.arms():
+        templates = tuple(f"{arm},%.12g,{tag}" for tag in TAGS)
+        rows += map(templates.__getitem__, true_pair.tolist())
+        times += arm_times.tolist()
+    return "\n".join(rows) % tuple(times) + "\n"
 
 
 def pattern_csv(phis, intensity) -> str:

@@ -32,3 +32,21 @@ def marked_pair(ell: int, delta: float):
 @pytest.fixture
 def canonical_config():
     return hybrid_eraser_config(alpha=0.0)
+
+
+def greedy_coincidences(times_a, times_b, gate):
+    """Reference matcher: one click at a time, with a pointer per sorted
+    stream.  Current clicks within the gate match and both pointers move on;
+    otherwise the earlier click is dropped."""
+    i = j = matched = 0
+    while i < len(times_a) and j < len(times_b):
+        dt = times_a[i] - times_b[j]
+        if abs(dt) <= gate:
+            matched += 1
+            i += 1
+            j += 1
+        elif dt < 0:
+            i += 1
+        else:
+            j += 1
+    return matched

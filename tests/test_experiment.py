@@ -8,10 +8,13 @@ from oam_eraser import elements as el
 from oam_eraser.elements import DelaySpec, FiberSpec, PolarizerSpec, QPlateSpec
 from oam_eraser.experiment import (
     CountingModel,
+    EventRecord,
+    EventTable,
     ExperimentConfig,
     NullOutcomeError,
     ScanSeries,
     SourceSpec,
+    _count_coincidences,
     _pipeline,
     analyzer_probabilities,
     build_source_state,
@@ -25,8 +28,9 @@ from oam_eraser.experiment import (
     theta_scan,
 )
 from oam_eraser.hilbert import POL_H, POL_V, state_overlap
+from oam_eraser.output import events_csv, fmt
 
-from conftest import marked_pair
+from conftest import greedy_coincidences, marked_pair
 
 ROOT2 = math.sqrt(2.0)
 
@@ -372,6 +376,108 @@ def test_events_are_time_ordered_and_tagged():
         times = [e.timestamp for e in events if e.arm == arm]
         assert times == sorted(times)
     assert {e.tag for e in events} <= {"true_pair", "accidental"}
+
+
+def test_event_table_columns_and_records_agree():
+    config = timeline_config(seed=19, singles=3000.0, delay_m=4.5)
+    events, _ = simulate_timeline(config, math.pi / 4, 0.0, 0.2)
+    records = list(events)
+    assert len(records) == len(events) > 0
+    assert all(type(r) is EventRecord and type(r.timestamp) is float
+               for r in records)
+    column = [(arm, t, "true_pair" if p else "accidental")
+              for arm, times, pairs in events.arms()
+              for t, p in zip(times.tolist(), pairs.tolist())]
+    assert [tuple(r) for r in records] == column
+    assert [r.arm for r in records] == sorted(r.arm for r in records)
+    assert int(events.true_pair_a.sum()) == int(events.true_pair_b.sum()) > 0
+    assert list(events) == records  # the second pass reads the same records
+    for arm, times, pairs in events.arms():
+        for column in (times, pairs):
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
+
+
+def test_events_csv_prints_times_as_fmt():
+    times_a = np.array([0.0, 5e-324, 1e-300, 1 / 3, 0.1 + 0.2, 2.5e-08,
+                        123456789012.5, 1e300])
+    times_b = np.array([-0.0, 7.0, 1e16 + 2.0])
+    events = EventTable(times_a, np.arange(8) % 3 == 0, times_b,
+                        np.array([False, True, False]))
+    want = ["arm,timestamp_s,tag"]
+    want += [f"{r.arm},{fmt(r.timestamp)},{r.tag}" for r in events]
+    assert events_csv(events) == "\n".join(want) + "\n"
+    empty = EventTable(np.empty(0), np.empty(0, bool), np.empty(0),
+                       np.empty(0, bool))
+    assert len(empty) == 0 and list(empty) == []
+    assert events_csv(empty) == "arm,timestamp_s,tag\n"
+
+
+def _random_streams(rng):
+    """Two sorted click streams: correlated pairs under jitter and a delay,
+    plus singles, at a random density of clicks per gate."""
+    gate = 10 ** rng.uniform(-3.0, 0.0)
+    per_gate = 10 ** rng.uniform(-2.0, 1.0)
+    n_pairs, n_a, n_b = rng.integers(0, 120, 3)
+    span = max(n_pairs + max(n_a, n_b), 1) * gate / per_gate
+    pairs = rng.uniform(0.0, span, n_pairs)
+    shift = rng.choice([0.0, rng.uniform(-2.0, 2.0) * gate])
+    jitter = rng.uniform(0.0, 1.5) * gate
+    times_a = np.sort(np.concatenate([pairs, rng.uniform(0.0, span, n_a)]))
+    times_b = np.sort(np.concatenate([
+        pairs + shift + rng.uniform(-jitter, jitter, n_pairs),
+        rng.uniform(0.0, span, n_b)]))
+    return times_a, times_b, gate
+
+
+def test_matcher_agrees_with_walk_on_random_streams():
+    rng = np.random.default_rng(20240611)
+    for _ in range(600):
+        times_a, times_b, gate = _random_streams(rng)
+        assert _count_coincidences(times_a, times_b, gate) == \
+            greedy_coincidences(times_a, times_b, gate)
+
+
+#: (clicks on A, clicks on B, gate, coincidences); dyadic times, so every
+#: difference below is exact and ties at the gate are real ties
+MATCHER_CASES = {
+    "several clicks in one gate": ([0.0, 0.125, 0.25, 0.375], [0.0625, 0.3125],
+                                   0.5, 2),
+    "burst on one arm": ([1.0] * 3 + [1.25, 1.5], [1.5, 1.75], 0.25, 2),
+    "tie at +gate": ([0.5, 1.5, 2.5], [0.25, 1.25, 2.25], 0.25, 3),
+    "tie at -gate": ([0.25, 1.25], [0.5, 1.5], 0.25, 2),
+    "just outside the gate": ([0.0, 4.0], [0.25 + 2.0 ** -50, 3.75 - 2.0 ** -50],
+                              0.25, 0),
+    "equal times on both arms": ([1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0],
+                                 0.125, 3),
+    "arm A empty": ([], [1.0, 2.0], 1.0, 0),
+    "arm B empty": ([1.0], [], 1.0, 0),
+    "both arms empty": ([], [], 1.0, 0),
+    "one cluster across the stream": (list(np.arange(96) * 0.375),
+                                      list(np.arange(80) * 0.5 + 0.0625),
+                                      0.5, None),
+}
+
+
+@pytest.mark.parametrize("times_a, times_b, gate, want",
+                         MATCHER_CASES.values(), ids=MATCHER_CASES.keys())
+def test_matcher_agrees_with_walk_on_adversarial_streams(times_a, times_b,
+                                                          gate, want):
+    times_a, times_b = np.array(times_a, float), np.array(times_b, float)
+    got = _count_coincidences(times_a, times_b, gate)
+    assert got == greedy_coincidences(times_a, times_b, gate)
+    if want is not None:
+        assert got == want
+
+
+def test_matcher_on_one_long_cluster():
+    rng = np.random.default_rng(5)
+    gate = 1e-6  # mean spacing a tenth of the gate: one cluster
+    times_a = np.sort(rng.uniform(0.0, 3e-4, 3000))
+    times_b = np.sort(rng.uniform(0.0, 3e-4, 2000))
+    assert np.diff(np.sort(np.concatenate([times_a, times_b]))).max() <= gate
+    assert _count_coincidences(times_a, times_b, gate) == \
+        greedy_coincidences(times_a, times_b, gate)
 
 
 def test_timeline_is_deterministic_per_seed():

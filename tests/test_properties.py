@@ -1,9 +1,11 @@
-"""Property-based checks of the element operators on random states, and of
-the config emitter and parser on random runs."""
+"""Property-based checks of the element operators on random states, of the
+config emitter and parser on random runs, and of the coincidence matcher on
+random click streams."""
 
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,12 @@ from oam_eraser.elements import (
     apply_element,
     polarizer_apply,
 )
-from oam_eraser.experiment import CountingModel, ExperimentConfig, SourceSpec
+from oam_eraser.experiment import (
+    CountingModel,
+    ExperimentConfig,
+    SourceSpec,
+    _count_coincidences,
+)
 from oam_eraser.hilbert import (
     ARMS,
     L_CAP,
@@ -29,6 +36,8 @@ from oam_eraser.hilbert import (
     joint_ket,
     tensor,
 )
+
+from conftest import greedy_coincidences
 
 pols = st.sampled_from((POL_H, POL_V))
 labels = st.tuples(pols, st.integers(-4, 4), pols, st.integers(-4, 4))
@@ -151,3 +160,19 @@ def test_emit_parse_emit_is_a_fixed_point(run):
     moved = [s for s in specs if not isinstance(s, DelaySpec)] + delays
     assert parsed.config == replace(run.config, elements_a=tuple(moved))
     assert parsed.scan == run.scan
+
+
+# ---------------------------------------------------------------------------
+# coincidence matching
+
+# times on a grid of 1/8, so differences are exact: ties at the gate, equal
+# times on both arms and bursts inside one gate are frequent
+clicks = st.lists(st.integers(0, 96), max_size=60).map(
+    lambda ticks: np.sort(np.array(ticks, dtype=float)) / 8.0)
+
+
+@no_deadline
+@given(clicks, clicks, st.sampled_from((0.125, 0.25, 0.375, 1.0, 4.0)))
+def test_matcher_agrees_with_walk_on_dyadic_streams(times_a, times_b, gate):
+    assert _count_coincidences(times_a, times_b, gate) == \
+        greedy_coincidences(times_a, times_b, gate)
