@@ -170,7 +170,9 @@ def _tokenize(text: str):
 
 def _values(section: _Section | None, *tables) -> list:
     """One ``{field: value}`` dict per table, of the keys present; unknown
-    keys are reported before conversion errors, which come in table order."""
+    keys are reported before conversion errors, which come in table order.
+    Floats must be finite: ``nan``, ``inf`` and overflowing literals such as
+    ``1e400`` are conversion errors."""
     entries = section.entries if section is not None else {}
     for key, (_, line) in entries.items():
         if not any(key in keys for keys in tables):
@@ -187,6 +189,9 @@ def _values(section: _Section | None, *tables) -> list:
                     raise ConfigError(
                         f"expected {kind.__name__} value, got {raw!r}",
                         line, key) from None
+                if kind is float and not math.isfinite(values[field]):
+                    raise ConfigError(f"expected finite float value, got {raw!r}",
+                                      line, key)
         out.append(values)
     return out
 

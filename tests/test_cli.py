@@ -306,6 +306,18 @@ CONFIG_ERRORS = [
     # elements are built before any single section is checked
     ("[counting]\nfoo = 1\n\n[arm_a.element]\ntype = qplate\nq = 0.3\n",
      "unphysical q-plate charge (line 4)", 4, None),
+    # floats must be finite, overflowing literals included
+    ("[analyzers]\nalpha_rad = nan\n",
+     "expected finite float value, got 'nan' (line 2, key 'alpha_rad')",
+     2, "alpha_rad"),
+    ("[arm_a.element]\ntype = qplate\nq = inf\n",
+     "expected finite float value, got 'inf' (line 3, key 'q')", 3, "q"),
+    ("[counting]\ngate_s = 1e-8\ndelay_m = -Infinity\n",
+     "expected finite float value, got '-Infinity' (line 3, key 'delay_m')",
+     3, "delay_m"),
+    ("[scan]\ntheta_stop_rad = 1e400\n",
+     "expected finite float value, got '1e400' (line 2, key 'theta_stop_rad')",
+     2, "theta_stop_rad"),
 ]
 
 
@@ -432,6 +444,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     path.write_text(CANONICAL.replace("q = 0.5", "q = 0.3"), encoding="utf-8")
     assert main(["scan-theta", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [("q = 0.5", "q = inf"),
+                                      ("alpha_rad = 0.0", "alpha_rad = nan")])
+def test_non_finite_value_exit_code(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CANONICAL.replace(old, new), encoding="utf-8")
+    assert main(["scan-theta", str(path), "--out-dir", str(tmp_path)]) == 2
+    key = new.split(" =")[0]
+    assert f"key '{key}'" in capsys.readouterr().err
 
 
 def test_null_pipeline_exit_code_names_element(tmp_path, capsys):
