@@ -498,16 +498,21 @@ def _count_coincidences(times_a: np.ndarray, times_b: np.ndarray,
     therefore runs on all clusters between such gaps at once, one step per
     round, until every cluster has run out of clicks on one arm.
     """
-    if len(times_a) == 0 or len(times_b) == 0:
+    n_a = len(times_a)
+    if n_a == 0 or len(times_b) == 0:
         return 0
-    merged = np.sort(np.concatenate([times_a, times_b]), kind="stable")
-    starts = merged[1:][np.diff(merged) > gate]
-    bounds = []
-    for times in (times_a, times_b):
-        cuts = np.searchsorted(times, starts)
-        bounds += [np.r_[0, cuts], np.r_[cuts, len(times)]]
-    walk = np.stack(bounds)  # rows: pointer and end on A, then on B
-    walk = walk[:, (walk[0] < walk[1]) & (walk[2] < walk[3])]
+    stream = np.concatenate([times_a, times_b])
+    order = np.argsort(stream, kind="stable")  # merges the two sorted runs
+    cuts = np.flatnonzero(np.diff(stream[order]) > gate) + 1
+    # cluster edges: positions in the merged stream, then in each arm
+    edges = np.concatenate([[0], cuts, [len(stream)]])
+    edges_a = np.concatenate([[0], np.cumsum(order < n_a)[cuts - 1], [n_a]])
+    edges_b = edges - edges_a
+    both = (edges_a[:-1] < edges_a[1:]) & (edges_b[:-1] < edges_b[1:])
+    # one column per cluster with clicks on both arms: pointer and end on A,
+    # then on B
+    walk = np.stack([edges_a[:-1][both], edges_a[1:][both],
+                     edges_b[:-1][both], edges_b[1:][both]])
     matched = 0
     while walk.shape[1]:
         i, end_a, j, end_b = walk
