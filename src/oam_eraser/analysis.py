@@ -74,11 +74,12 @@ class TwoPathModel:
 
 
 def fit_sinusoid(series: ScanSeries, on: str = "auto") -> FringeFit:
-    """Closed-form least squares of ``offset + a*cos(2x + phase)``.
+    """Linear least squares of ``offset + a*cos(2x + phase)``.
 
-    The model is linear in ``(offset, a*cos(phase), -a*sin(phase))`` so the
-    normal equations solve it exactly.  Fits the counts when present (and
-    ``on="auto"``), otherwise the conditional probabilities.
+    The model is linear in ``(offset, a*cos(phase), -a*sin(phase))``, so one
+    ``np.linalg.lstsq`` solve (an SVD of the three-column design matrix)
+    fits it exactly.  Fits the counts when present (and ``on="auto"``),
+    otherwise the conditional probabilities.
     """
     settings = np.asarray(series.settings, dtype=float)
     if len(set(series.settings)) < 4:
