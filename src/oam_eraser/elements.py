@@ -58,7 +58,8 @@ class QPlateSpec:
     arm: str = "A"
 
     def __post_init__(self):
-        if abs(2.0 * self.q - round(2.0 * self.q)) > 1e-9:
+        if (not math.isfinite(self.q)
+                or abs(2.0 * self.q - round(2.0 * self.q)) > 1e-9):
             raise ValueError("unphysical q-plate charge")
         _check_arm(self.arm)
 

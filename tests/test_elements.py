@@ -93,6 +93,12 @@ def test_qplate_rejects_non_half_integer_charge():
         QPlateSpec(q=0.3)
 
 
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_qplate_rejects_non_finite_charge(q):
+    with pytest.raises(ValueError, match="unphysical q-plate charge"):
+        QPlateSpec(q=q)
+
+
 def test_zero_charge_qplate_is_a_half_wave_plate():
     # both shift blocks land on the input OAM: (U_up + U_down) = diag(1, -1)
     op = qplate_operator(QPlateSpec(q=0.0))
