@@ -385,10 +385,10 @@ def test_event_table_columns_and_records_agree():
     assert len(records) == len(events) > 0
     assert all(type(r) is EventRecord and type(r.timestamp) is float
                for r in records)
-    column = [(arm, t, "true_pair" if p else "accidental")
-              for arm, times, pairs in events.arms()
-              for t, p in zip(times.tolist(), pairs.tolist())]
-    assert [tuple(r) for r in records] == column
+    from_columns = [(arm, t, "true_pair" if p else "accidental")
+                    for arm, times, pairs in events.arms()
+                    for t, p in zip(times.tolist(), pairs.tolist())]
+    assert [tuple(r) for r in records] == from_columns
     assert [r.arm for r in records] == sorted(r.arm for r in records)
     assert int(events.true_pair_a.sum()) == int(events.true_pair_b.sum()) > 0
     assert list(events) == records  # the second pass reads the same records
