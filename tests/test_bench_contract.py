@@ -1,8 +1,8 @@
-"""The benchmark's timeline op and its output check, run against the package.
+"""The benchmark's ops and their output checks, run against the package.
 
-``bench/workloads.py`` is loaded as it is, so a change to what
-``simulate_timeline`` or ``events_csv`` return that the benchmark cannot
-read fails here, not only in a benchmark run.
+``bench/workloads.py`` is loaded as it is, so a change to what the package
+returns that the benchmark cannot read (an event table it cannot iterate,
+a count that is not an ``int``) fails here, not only in a benchmark run.
 """
 
 import importlib.util
@@ -32,3 +32,16 @@ def test_timeline_op_passes_its_own_check(workloads, kind):
     result = op.call()
     op.check(result)
     assert op.work(result) == len(result[0]) > 0
+
+
+@pytest.mark.parametrize("kind", ["curve", "grid", "calibrate", "complementarity"])
+def test_exact_scans_op_passes_its_own_check(workloads, kind):
+    scans = workloads.ExactScans(seed=7, oe=oam_eraser)
+    op = {"curve": scans._curve,
+          "grid": lambda: scans._grid(19, shared=False),
+          "calibrate": scans._calibrate,
+          "complementarity": scans._complementarity}[kind]()
+    assert op.kind == kind
+    result = op.call()
+    op.check(result)
+    assert op.work(result) > 0
