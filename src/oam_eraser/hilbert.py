@@ -374,33 +374,6 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(eigs)))
 
 
-# ---------------------------------------------------------------------------
-# dense helpers shared with the channel-composition oracle
-
-
-def joint_basis(l_bound: int) -> tuple:
-    """All joint labels with both OAM indices inside ``[-l_bound, l_bound]``."""
-    ells = range(-l_bound, l_bound + 1)
-    return tuple(
-        (pa, ea, pb, eb)
-        for pa in (POL_H, POL_V) for ea in ells
-        for pb in (POL_H, POL_V) for eb in ells
-    )
-
-
-def state_vector(state: JointKet, basis: Sequence) -> np.ndarray:
-    index = {lbl: i for i, lbl in enumerate(basis)}
-    vec = np.zeros(len(basis), dtype=complex)
-    for key, amp in state.amplitudes.items():
-        vec[index[key]] = amp
-    return vec
-
-
-def density_of(state: JointKet, basis: Sequence) -> np.ndarray:
-    vec = state_vector(state, basis)
-    return np.outer(vec, vec.conj())
-
-
 def format_state(state: JointKet, digits: int = 4) -> str:
     """Readable ket expansion, one term per line, largest first."""
     lines = []

@@ -27,13 +27,7 @@ from oam_eraser.experiment import (
     simulate_timeline,
     theta_scan,
 )
-from oam_eraser.hilbert import (
-    POL_H,
-    POL_V,
-    density_of,
-    joint_basis,
-    joint_ket,
-)
+from oam_eraser.hilbert import POL_H, POL_V, joint_ket
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,6 +170,25 @@ def test_criterion_4_delayed_choice():
 
 # ---------------------------------------------------------------------------
 # 5. density-matrix channel oracle
+
+
+def joint_basis(l_bound: int) -> tuple:
+    """All joint labels with both OAM indices inside ``[-l_bound, l_bound]``."""
+    ells = range(-l_bound, l_bound + 1)
+    return tuple(
+        (pa, ea, pb, eb)
+        for pa in (POL_H, POL_V) for ea in ells
+        for pb in (POL_H, POL_V) for eb in ells
+    )
+
+
+def density_of(state, basis) -> np.ndarray:
+    """Dense ``|psi><psi|`` of a sparse joint state in ``basis`` order."""
+    index = {lbl: i for i, lbl in enumerate(basis)}
+    vec = np.zeros(len(basis), dtype=complex)
+    for key, amp in state.amplitudes.items():
+        vec[index[key]] = amp
+    return np.outer(vec, vec.conj())
 
 
 def _arm_matrix(spec, ells):
