@@ -418,10 +418,66 @@ def point_stream(seed: int, repetition: int, index: int) -> np.random.Generator:
 
     Keyed by ``(seed, repetition, index)`` only, so a point's draws do not
     depend on the order (or parallel schedule) in which points are
-    evaluated.
+    evaluated.  This is the definition of the stream; :func:`simulate_counts`
+    starts every point in exactly this state without building it.
     """
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(repetition, index)))
+
+
+# numpy's SeedSequence hash constants (32-bit words) and PCG64 multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_step(words: np.ndarray, const: int, mult: int) -> tuple:
+    """One SeedSequence hash of uint32 ``words``: returns the next hash
+    constant and the hashed words."""
+    following = const * mult & _MASK32
+    hashed = (words ^ const) * following
+    return following, hashed ^ hashed >> 16
+
+
+def _n_words(value: int) -> int:
+    """Number of 32-bit words SeedSequence reads from a non-negative int."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _point_seeds(seed: int, repetition: int, count: int) -> list:
+    """PCG64 ``(state, inc)`` of ``point_stream(seed, repetition, i)`` for
+    each ``i < count``, hashed for all points at once.
+
+    ``SeedSequence(seed, spawn_key=(repetition, i))`` mixes the word ``i``
+    last, so it starts from the pool of ``SeedSequence(seed,
+    spawn_key=(repetition,))``; every word mixed before it advanced the
+    hash constant four times, and ``i`` is hashed once per pool word.
+    ``generate_state(4, uint64)`` and PCG64's seeding follow.
+    """
+    prefix = np.random.SeedSequence(seed, spawn_key=(repetition,))
+    words = max(4, _n_words(seed)) + _n_words(repetition)
+    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
+    index = np.arange(count, dtype=np.uint32)
+    pool = []
+    for word in prefix.pool.tolist():
+        const, hashed = _hash_step(index, const, _MULT_A)
+        mixed = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * hashed
+        pool.append(mixed ^ mixed >> 16)
+    const, state = _INIT_B, []
+    for word in pool * 2:
+        const, hashed = _hash_step(word, const, _MULT_B)
+        state.append(hashed.astype(np.uint64))
+    # uint64 words from little-endian pairs: seed high, seed low, inc high,
+    # inc low; then pcg64_set_seed's two steps of the LCG from state 0
+    seeds = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(
+            (lo | hi << 32).tolist() for lo, hi in zip(state[::2], state[1::2]))):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return seeds
 
 
 def simulate_counts(config: ExperimentConfig, series: ScanSeries,
@@ -429,17 +485,26 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     """Draw Poisson counts for each scan point.
 
     ``counts[i] ~ Poisson(pair_rate * T * joint[i] + accidentals)`` with
-    the accidental term ``singles_a * singles_b * gate * T``.  Identical
-    seeds give identical counts regardless of evaluation order.
+    the accidental term ``singles_a * singles_b * gate * T``.  Point ``i``
+    draws from ``point_stream(seed, repetition, i)``, so identical seeds
+    give identical counts regardless of evaluation order.  One PCG64 is
+    reused: it is set to each point's starting state from
+    :func:`_point_seeds`, which gives the same draws without building a
+    SeedSequence and a Generator per point.
     """
-    if series.joint_probabilities is None:
+    joint = series.joint_probabilities
+    if joint is None:
         raise ValueError("series carries no joint probabilities")
     cm = config.counting
     acc = cm.accidentals()
+    bitgen = np.random.PCG64(0)
+    draw = np.random.Generator(bitgen).poisson
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     counts = []
-    for i, p in enumerate(series.joint_probabilities):
-        mean = cm.pair_rate * cm.integration_time * p + acc
-        counts.append(int(point_stream(cm.seed, repetition, i).poisson(mean)))
+    for (start, inc), p in zip(_point_seeds(cm.seed, repetition, len(joint)), joint):
+        state["state"] = {"state": start, "inc": inc}
+        bitgen.state = state
+        counts.append(int(draw(cm.pair_rate * cm.integration_time * p + acc)))
     return replace(series, counts=tuple(counts))
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oam_eraser import elements as el
 from oam_eraser.elements import DelaySpec, FiberSpec, PolarizerSpec, QPlateSpec
@@ -16,12 +17,14 @@ from oam_eraser.experiment import (
     SourceSpec,
     _count_coincidences,
     _pipeline,
+    _point_seeds,
     analyzer_probabilities,
     build_source_state,
     causal_order_probability,
     coincidence_probability,
     conditional_grid,
     hybrid_eraser_config,
+    point_stream,
     run_pipeline,
     simulate_counts,
     simulate_timeline,
@@ -342,6 +345,76 @@ def test_counts_are_order_independent():
     assert again.counts == forward
 
 
+def counts_and_oracle(seed, repetition, joint, pair_rate=1e7, singles=0.0):
+    """Counts of a series with these joint probabilities, and the counts of
+    one ``point_stream`` per point."""
+    cm = CountingModel(pair_rate=pair_rate, integration_time=1.0,
+                       singles_a=singles, singles_b=singles, seed=seed)
+    config = hybrid_eraser_config(counting=cm)
+    series = ScanSeries("theta", tuple(range(len(joint))), tuple(joint),
+                        joint_probabilities=tuple(joint))
+    oracle = [int(point_stream(seed, repetition, i).poisson(
+                  cm.pair_rate * cm.integration_time * p + cm.accidentals()))
+              for i, p in enumerate(joint)]
+    return simulate_counts(config, series, repetition).counts, oracle
+
+
+# at pair_rate 1e7 these are means 0, 3, 9.9 (below numpy's Poisson switch
+# at 10), 10, 500 and 1e7
+JOINT_CLASSES = (0.0, 3e-7, 9.9e-7, 1e-6, 5e-5, 1.0)
+
+
+@pytest.mark.parametrize("seed, repetition, n", [
+    (0, 0, 0),  # empty series
+    (0, 0, 24),
+    (1, 2 ** 32, 30),  # two-word repetition
+    (2 ** 32 + 3, 7, 31),  # two-word seed
+    (2 ** 31 - 1, 2 ** 33 + 1, 17),
+    (2 ** 64 + 5, 3, 40),  # three-word seed
+    (2 ** 128 + 9, 1, 12),  # more seed words than the pool holds
+])
+def test_counts_equal_one_stream_per_point(seed, repetition, n):
+    joint = [JOINT_CLASSES[i % len(JOINT_CLASSES)] for i in range(n)]
+    counts, oracle = counts_and_oracle(seed, repetition, joint)
+    assert list(counts) == oracle
+    assert all(type(c) is int for c in counts)
+
+
+def test_counts_with_accidentals_equal_one_stream_per_point():
+    joint = np.random.default_rng(4).uniform(0.0, 1.0, 50).tolist()
+    counts, oracle = counts_and_oracle(97, 2, joint, pair_rate=40.0,
+                                       singles=3e3)
+    assert list(counts) == oracle
+
+
+@pytest.mark.parametrize("seed, repetition", [
+    (0, 0), (5, 2 ** 32), (2 ** 63 - 25, 11), (2 ** 96 + 1, 2 ** 64)])
+def test_point_seeds_equal_seeded_pcg64(seed, repetition):
+    want = []
+    for i in range(9):
+        bitgen = np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(repetition, i)))
+        state = bitgen.state["state"]
+        want.append((state["state"], state["inc"]))
+    assert _point_seeds(seed, repetition, 9) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 70), repetition=st.integers(0, 2 ** 40),
+       joint=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+       data=st.data())
+def test_count_depends_only_on_its_key_and_mean(seed, repetition, joint, data):
+    counts, oracle = counts_and_oracle(seed, repetition, joint, pair_rate=500.0)
+    assert list(counts) == oracle
+    # another point's mean, or a shorter series, leaves a count unchanged
+    j = data.draw(st.integers(0, len(joint) - 1))
+    changed = joint[:j] + [data.draw(st.floats(0.0, 1.0))] + joint[j + 1:]
+    after, _ = counts_and_oracle(seed, repetition, changed, pair_rate=500.0)
+    assert after[:j] == counts[:j] and after[j + 1:] == counts[j + 1:]
+    prefix, _ = counts_and_oracle(seed, repetition, joint[:j], pair_rate=500.0)
+    assert prefix == counts[:j]
+
+
 # ---------------------------------------------------------------------------
 # timeline
 
@@ -513,6 +586,7 @@ def test_coincidence_with_extinguished_analyzer_errors():
 def test_timeline_rejects_bad_duration():
     with pytest.raises(ValueError, match="duration"):
         simulate_timeline(timeline_config(seed=1), 0.0, 0.0, 0.0)
+
 
 
 def test_config_rejects_two_delays_per_arm():
