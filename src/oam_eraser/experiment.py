@@ -432,6 +432,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# largest mean numpy's Generator.poisson accepts
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _hash_step(words: np.ndarray, const: int, mult: int) -> tuple:
@@ -522,9 +524,13 @@ def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,
     arm's clicks in time order (a true-pair click first on equal times),
     and the greedy coincidence count.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r} s")
     cm = config.counting
+    clicks = max(cm.pair_rate, cm.singles_a, cm.singles_b) * duration
+    if clicks > _POISSON_LAM_MAX:
+        raise ValueError(f"duration {duration!r} s is too long: {clicks:.3g} "
+                         f"expected clicks exceed the Poisson draw's limit")
     joint, _ = coincidence_probability(config, alpha, theta)
 
     def rng(stream: int) -> np.random.Generator:

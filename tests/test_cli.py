@@ -456,6 +456,15 @@ def test_non_finite_value_exit_code(tmp_path, capsys, old, new):
     assert f"key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["nan", "inf", "1e30"])
+def test_unusable_duration_exit_code_names_it(tmp_path, config_path, capsys,
+                                              duration):
+    assert main(["timeline", config_path, "--duration-s", duration,
+                 "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "duration" in err and f"{float(duration)!r} s" in err
+
+
 def test_null_pipeline_exit_code_names_element(tmp_path, capsys):
     text = CANONICAL.replace("accepted_l = 0", "accepted_l = 7")
     path = tmp_path / "null.cfg"

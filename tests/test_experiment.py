@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -587,6 +588,16 @@ def test_timeline_rejects_bad_duration():
     with pytest.raises(ValueError, match="duration"):
         simulate_timeline(timeline_config(seed=1), 0.0, 0.0, 0.0)
 
+
+@pytest.mark.parametrize("duration, message", [
+    (math.nan, "duration must be positive and finite, got nan s"),
+    (math.inf, "duration must be positive and finite, got inf s"),
+    (-math.inf, "duration must be positive and finite, got -inf s"),
+    (1e30, "duration 1e+30 s is too long"),
+])
+def test_timeline_names_an_unusable_duration(duration, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_timeline(timeline_config(seed=1), 0.0, 0.0, duration)
 
 
 def test_config_rejects_two_delays_per_arm():
