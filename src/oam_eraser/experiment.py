@@ -432,16 +432,28 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-# largest mean numpy's Generator.poisson accepts
-_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
-def _hash_step(words: np.ndarray, const: int, mult: int) -> tuple:
-    """One SeedSequence hash of uint32 ``words``: returns the next hash
-    constant and the hashed words."""
-    following = const * mult & _MASK32
-    hashed = (words ^ const) * following
-    return following, hashed ^ hashed >> 16
+def _hash_columns(first: int, mult: int, rows: int) -> tuple:
+    """SeedSequence hash constants for ``rows`` steps as uint32 columns:
+    step ``k`` xors with ``first * mult**k`` and multiplies by the next
+    power."""
+    consts = np.array([first * pow(mult, k, 1 << 32) & _MASK32
+                       for k in range(rows + 1)], dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
+    return consts[:-1], consts[1:]
+
+
+# generate_state's constants for its eight 32-bit words (four uint64)
+_STATE_HASH = _hash_columns(_INIT_B, _MULT_B, 8)
+
+
+def _hash(words: np.ndarray, columns: tuple) -> np.ndarray:
+    """SeedSequence's hash of uint32 ``words``, one step per row."""
+    xor, mul = columns
+    hashed = (words ^ xor) * mul
+    hashed ^= hashed >> 16
+    return hashed
 
 
 def _n_words(value: int) -> int:
@@ -449,34 +461,38 @@ def _n_words(value: int) -> int:
     return max(1, -(-value.bit_length() // 32))
 
 
-def _point_seeds(seed: int, repetition: int, count: int) -> list:
-    """PCG64 ``(state, inc)`` of ``point_stream(seed, repetition, i)`` for
-    each ``i < count``, hashed for all points at once.
+@lru_cache(maxsize=64)
+def _index_terms(words: int, count: int) -> np.ndarray:
+    """The index word's share of the mix into each pool word, for indices
+    ``0 .. count - 1`` that follow ``words`` entropy words; read-only.
 
-    ``SeedSequence(seed, spawn_key=(repetition, i))`` mixes the word ``i``
-    last, so it starts from the pool of ``SeedSequence(seed,
-    spawn_key=(repetition,))``; every word mixed before it advanced the
-    hash constant four times, and ``i`` is hashed once per pool word.
+    Every word mixed before the index advanced the hash constant four
+    times, and the index is hashed once per pool word, so the terms depend
+    on the key's length, not on its words.
+    """
+    first = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
+    terms = _MIX_MULT_R * _hash(np.arange(count, dtype=np.uint32),
+                                _hash_columns(first, _MULT_A, 4))
+    terms.flags.writeable = False
+    return terms
+
+
+def _point_seeds(prefix: np.random.SeedSequence, count: int) -> list:
+    """PCG64 ``(state, inc)`` seeded from ``SeedSequence(prefix.entropy,
+    spawn_key=prefix.spawn_key + (i,))``, for each ``i < count`` at once.
+
+    That sequence mixes the word ``i`` last, into ``prefix.pool``; then
     ``generate_state(4, uint64)`` and PCG64's seeding follow.
     """
-    prefix = np.random.SeedSequence(seed, spawn_key=(repetition,))
-    words = max(4, _n_words(seed)) + _n_words(repetition)
-    const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
-    index = np.arange(count, dtype=np.uint32)
-    pool = []
-    for word in prefix.pool.tolist():
-        const, hashed = _hash_step(index, const, _MULT_A)
-        mixed = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * hashed
-        pool.append(mixed ^ mixed >> 16)
-    const, state = _INIT_B, []
-    for word in pool * 2:
-        const, hashed = _hash_step(word, const, _MULT_B)
-        state.append(hashed.astype(np.uint64))
-    # uint64 words from little-endian pairs: seed high, seed low, inc high,
-    # inc low; then pcg64_set_seed's two steps of the LCG from state 0
+    words = max(4, _n_words(prefix.entropy)) + sum(map(_n_words, prefix.spawn_key))
+    pool = (_MIX_MULT_L * prefix.pool)[:, None] - _index_terms(words, count)
+    pool ^= pool >> 16
+    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
+    # little-endian word pairs: seed high, seed low, inc high, inc low per
+    # point; then pcg64_set_seed's two LCG steps from state 0
     seeds = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(
-            (lo | hi << 32).tolist() for lo, hi in zip(state[::2], state[1::2]))):
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(
+            state.T, dtype="<u4").view("<u8").tolist():
         inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
         seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
     return seeds
@@ -499,15 +515,20 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
         raise ValueError("series carries no joint probabilities")
     cm = config.counting
     acc = cm.accidentals()
-    bitgen = np.random.PCG64(0)
+    prefix = np.random.SeedSequence(cm.seed, spawn_key=(repetition,))
+    bitgen = np.random.PCG64(prefix)  # every point sets its own state
     draw = np.random.Generator(bitgen).poisson
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     counts = []
-    for (start, inc), p in zip(_point_seeds(cm.seed, repetition, len(joint)), joint):
+    for (start, inc), p in zip(_point_seeds(prefix, len(joint)), joint):
         state["state"] = {"state": start, "inc": inc}
         bitgen.state = state
         counts.append(int(draw(cm.pair_rate * cm.integration_time * p + acc)))
     return replace(series, counts=tuple(counts))
+
+
+# largest mean numpy's Generator.poisson accepts
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,

@@ -397,7 +397,8 @@ def test_point_seeds_equal_seeded_pcg64(seed, repetition):
             np.random.SeedSequence(seed, spawn_key=(repetition, i)))
         state = bitgen.state["state"]
         want.append((state["state"], state["inc"]))
-    assert _point_seeds(seed, repetition, 9) == want
+    prefix = np.random.SeedSequence(seed, spawn_key=(repetition,))
+    assert _point_seeds(prefix, 9) == want
 
 
 @settings(deadline=None, max_examples=60)
