@@ -413,8 +413,8 @@ def test_count_depends_only_on_its_key_and_mean(seed, repetition, joint, data):
     changed = joint[:j] + [data.draw(st.floats(0.0, 1.0))] + joint[j + 1:]
     after, _ = counts_and_oracle(seed, repetition, changed, pair_rate=500.0)
     assert after[:j] == counts[:j] and after[j + 1:] == counts[j + 1:]
-    prefix, _ = counts_and_oracle(seed, repetition, joint[:j], pair_rate=500.0)
-    assert prefix == counts[:j]
+    shorter, _ = counts_and_oracle(seed, repetition, joint[:j], pair_rate=500.0)
+    assert shorter == counts[:j]
 
 
 # ---------------------------------------------------------------------------
