@@ -481,8 +481,9 @@ def _point_seeds(prefix: np.random.SeedSequence, count: int) -> list:
     """PCG64 ``(state, inc)`` seeded from ``SeedSequence(prefix.entropy,
     spawn_key=prefix.spawn_key + (i,))``, for each ``i < count`` at once.
 
-    That sequence mixes the word ``i`` last, into ``prefix.pool``; then
-    ``generate_state(4, uint64)`` and PCG64's seeding follow.
+    That sequence mixes the word ``i`` last, into ``prefix.pool`` (both
+    pad the seed to the pool size, since ``prefix`` has a spawn key too);
+    then ``generate_state(4, uint64)`` and PCG64's seeding follow.
     """
     words = max(4, _n_words(prefix.entropy)) + sum(map(_n_words, prefix.spawn_key))
     pool = (_MIX_MULT_L * prefix.pool)[:, None] - _index_terms(words, count)
