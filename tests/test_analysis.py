@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oam_eraser import analysis
 from oam_eraser.analysis import (
     ComplementarityRecord,
     FringeFit,
@@ -160,6 +162,141 @@ def test_calibration_brackets_target():
     got = fitted_visibility(hybrid_eraser_config(alpha=math.pi / 4,
                                                  extinction=leak))[0]
     assert got == pytest.approx(0.95, abs=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the leak solver on arbitrary monotone functions
+
+#: evaluations the solver may spend on ``bracket=(0, 0.8)``, ``tol=1e-7``:
+#: two endpoints, then at most one step more than bisection's
+SOLVER_STEP_BOUND = 2 + math.ceil(math.log2(0.8 / 1e-7)) + 1
+
+
+@pytest.fixture
+def solve(monkeypatch):
+    """``calibrate_extinction`` with the builder's value as the visibility,
+    so ``f`` is solved for ``f(e) = target``; returns ``(e, evaluations)``."""
+    monkeypatch.setattr(analysis, "fitted_visibility",
+                        lambda value, theta_points: (value, None))
+
+    def run(f, target, calls=None):
+        calls = [] if calls is None else calls
+
+        def counted(e):
+            calls.append(e)
+            return f(e)
+
+        return calibrate_extinction(counted, target), len(calls)
+
+    return run
+
+
+def step_at(root, low, high):
+    return lambda e: low if e < root else high
+
+
+# the root of each case is where f - target changes sign; both slopes
+CASES = {
+    # regula falsi alone crawls along a lopsided step
+    "step": [(step_at(root, 0.0, 1.0), 0.01, root)
+             for root in (0.3, 0.123456789, 0.79)],
+    "falling-step": [(step_at(0.5, 1.0, 0.0), 0.02, 0.5),
+                     (step_at(0.0217, 0.9, -0.1), 0.85, 0.0217)],
+    # flat on one side of the root, steep on the other
+    "ninth-power": [(lambda e: (e / 0.8) ** 9, (0.3 / 0.8) ** 9, 0.3),
+                    (lambda e: -(e / 0.8) ** 9, -(0.61 / 0.8) ** 9, 0.61)],
+    # flat at the root itself
+    "cubed-cube": [(lambda e, r=r: (e - r) ** 9, 0.0, r) for r in (0.07, 0.4, 0.77)],
+    "near-endpoint": [(lambda e: e, r, r) for r in (3e-8, 1.2e-7, 0.8 - 3e-8)]
+    + [(lambda e: -e, -r, r) for r in (2e-8, 0.8 - 1e-8)]
+    + [(step_at(0.8 - 4e-8, 0.0, 1.0), 0.5, 0.8 - 4e-8)],
+}
+
+
+@pytest.mark.parametrize("f, target, root", [
+    pytest.param(*case, id=f"{name}-{i}")
+    for name, cases in CASES.items() for i, case in enumerate(cases)])
+def test_solver_brackets_the_sign_change_within_the_step_bound(
+        solve, f, target, root):
+    leak, evaluations = solve(f, target)
+    assert abs(leak - root) <= 0.5e-7
+    assert evaluations <= SOLVER_STEP_BOUND
+
+
+@pytest.mark.parametrize("f, target", [
+    pytest.param(*case[:2], id=f"{name}-{i}")
+    for name, cases in {**CASES, "erased-misfit": [
+        (lambda e: (1 - e * e) / (1 + e * e), v, None) for v in (0.6, 0.99)],
+    }.items() for i, case in enumerate(cases)])
+def test_every_step_lies_between_interpolation_and_midpoint(solve, f, target):
+    """Truncation moves the regula falsi point toward the midpoint and
+    projection moves it further, never past: replay the bracket and check."""
+    calls = []
+    solve(f, target, calls)
+    (lo, hi), steps = calls[:2], calls[2:]
+    f_lo, f_hi = f(lo) - target, f(hi) - target
+    for x in steps:
+        mid = 0.5 * (lo + hi)
+        interpolated = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+        assert min(mid, interpolated) - 1e-15 <= x <= max(mid, interpolated) + 1e-15
+        f_x = f(x) - target
+        if f_lo * f_x < 0.0:
+            hi, f_hi = x, f_x
+        else:
+            lo, f_lo = x, f_x
+
+
+def test_solver_keeps_the_exact_zero_returns_and_the_bracket_check(solve):
+    assert solve(lambda e: e, 0.0) == (0.0, 2)
+    assert solve(lambda e: e, 0.8) == (0.8, 2)
+    # a line through the midpoint: interpolation finds it, nothing moves it
+    assert solve(lambda e: 1.0 - e, 0.6) == (0.4, 3)
+    with pytest.raises(ValueError, match="not bracketed"):
+        solve(lambda e: e, 0.9)
+
+
+@settings(deadline=None, max_examples=60)
+@given(l_max=st.integers(1, 10), sigma_ell=st.none() | st.floats(0.5, 3.0),
+       mode=st.sampled_from(("ideal", "binary")), erased=st.booleans(),
+       share=st.floats(0.0, 1.0))
+def test_calibrated_leak_is_the_closed_form(l_max, sigma_ell, mode, erased,
+                                            share):
+    """At alpha = pi/4 the fitted visibility is ``(1 - e^2)/(1 + e^2)``, at
+    alpha = 0 it is ``2e/(1 + e^2)``; targets span what the leak range
+    reaches, up to the benchmark's 0.98 for the erased fringes.  (Closer to
+    1 the erased misfit is flat at e = 0, ``1 - 2e^2``, and a calibration
+    takes up to 16 evaluations: still within the step bound, see below.)"""
+    params = dict(l_max=l_max, hologram_mode=mode,
+                  spectrum="flat" if sigma_ell is None else "gaussian",
+                  sigma_ell=sigma_ell)
+    if erased:
+        alpha, target = math.pi / 4, 0.23 + 0.75 * share
+        want = math.tan(math.acos(target) / 2.0)
+    else:
+        alpha, target = 0.0, 0.001 + 0.969 * share
+        want = math.tan(math.asin(target) / 2.0)
+    calls = []
+
+    def builder(e):
+        calls.append(e)
+        return hybrid_eraser_config(alpha=alpha, extinction=e, **params)
+
+    leak = calibrate_extinction(builder, target)
+    assert abs(leak - want) <= 1e-7
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("target", [0.985, 0.99, 0.999, 0.99999])
+def test_nearly_erased_calibration_stays_within_the_step_bound(target):
+    calls = []
+
+    def builder(e):
+        calls.append(e)
+        return hybrid_eraser_config(alpha=math.pi / 4, extinction=e)
+
+    leak = calibrate_extinction(builder, target)
+    assert abs(leak - math.tan(math.acos(target) / 2.0)) <= 1e-7
+    assert len(calls) <= SOLVER_STEP_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ def test_pipeline_cache_is_shared_by_analyzer_and_counting_variants():
     base = hybrid_eraser_config(alpha=0.1, **source)
     other = hybrid_eraser_config(alpha=1.2, extinction=0.05, hologram_mode="binary",
                                  counting=CountingModel(seed=9), **source)
+    # from empty: a cache filled to its maxsize by earlier tests would evict
+    _pipeline.cache_clear()
     entries = _pipeline.cache_info().currsize
     assert run_pipeline(base)[0] is run_pipeline(other)[0]
     assert _pipeline.cache_info().currsize == entries + 1
