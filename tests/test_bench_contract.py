@@ -45,3 +45,14 @@ def test_exact_scans_op_passes_its_own_check(workloads, kind):
     result = op.call()
     op.check(result)
     assert op.work(result) > 0
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 29, 47, 101])
+def test_calibrate_op_passes_its_check_within_twelve_evaluations(workloads, seed):
+    # op.work counts 72 theta points per evaluation of the op's builder, so
+    # this pins the solver steps a traced run reports under
+    # analysis.calibrate_extinction.evals
+    op = workloads.ExactScans(seed=seed, oe=oam_eraser)._calibrate()
+    leak = op.call()
+    op.check(leak)
+    assert 0 < op.work(leak) // 72 <= 12
