@@ -98,7 +98,16 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class CountingModel:
-    """Coincidence counting parameters; all rates in events per second."""
+    """Coincidence counting parameters; all rates in events per second.
+
+    ``pair_rate`` counts post-selected pairs: pairs that get through every
+    element of the pipeline, the fiber included.  A scan point's true
+    coincidences are ``pair_rate * T`` times its joint analyzer probability
+    in the post-selected state; the pipeline's cumulative probability does
+    not scale them.  Accidentals are uncorrelated singles on the two arms
+    that fall within ``|t_A - t_B| <= gate`` of each other, a window
+    ``2 * gate`` wide.
+    """
 
     pair_rate: float = 1000.0
     integration_time: float = 5.0
@@ -116,8 +125,10 @@ class CountingModel:
             raise ValueError("gate must be positive")
 
     def accidentals(self) -> float:
-        """Expected accidental coincidences per integration window."""
-        return self.singles_a * self.singles_b * self.gate * self.integration_time
+        """Expected accidental coincidences per integration window,
+        ``2 * singles_a * singles_b * gate * T``."""
+        return (2.0 * self.singles_a * self.singles_b * self.gate
+                * self.integration_time)
 
 
 @dataclass(frozen=True)
@@ -504,7 +515,7 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     """Draw Poisson counts for each scan point.
 
     ``counts[i] ~ Poisson(pair_rate * T * joint[i] + accidentals)`` with
-    the accidental term ``singles_a * singles_b * gate * T``.  Point ``i``
+    the accidental term ``2 * singles_a * singles_b * gate * T``.  Point ``i``
     draws from ``point_stream(seed, repetition, i)``, so identical seeds
     give identical counts regardless of evaluation order.  One PCG64 is
     reused: it is set to each point's starting state from

@@ -578,6 +578,27 @@ def test_timeline_frequency_converges_to_probability():
     assert abs(frequency - joint) < 3.0 * math.sqrt(joint * (1 - joint) / n)
 
 
+def test_scan_counts_and_timeline_agree_on_accidentals():
+    """Singles only (no pairs), at most 1e-3 singles per gate, so greedy
+    matching loses a negligible share of accidental pairs.  Both counts are
+    Poisson with mean ``accidentals()`` (50 here), so the two sample means
+    differ by less than 4 standard errors of their difference."""
+    counting = CountingModel(pair_rate=0.0, integration_time=1.0, gate=25e-9,
+                             singles_a=4e4, singles_b=2.5e4)
+    assert max(counting.singles_a, counting.singles_b) * counting.gate <= 1e-3
+    config = hybrid_eraser_config(alpha=math.pi / 4, counting=counting)
+    series = theta_scan(config, points=24)
+    counted, timed = [], []
+    for seed in range(40):
+        seeded = replace(config, counting=replace(counting, seed=seed))
+        counted += simulate_counts(seeded, series).counts
+        timed.append(simulate_timeline(seeded, math.pi / 4, 0.3,
+                                       counting.integration_time)[1])
+    mean = counting.accidentals()
+    bound = 4.0 * math.sqrt(mean / len(counted) + mean / len(timed))
+    assert abs(np.mean(counted) - np.mean(timed)) <= bound
+
+
 def test_coincidence_with_extinguished_analyzer_errors():
     config = ExperimentConfig(
         source=SourceSpec(l_max=1),
