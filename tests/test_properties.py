@@ -1,13 +1,14 @@
-"""Property-based checks of the element operators on random states, of the
-config emitter and parser on random runs, and of the coincidence matcher on
-random click streams."""
+"""Property-based checks of the element operators and the analyzers on
+random states, of the config emitter and parser on random runs, and of the
+coincidence matcher on random click streams."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oam_eraser.configio import RunSpec, ScanSpec, emit_config, parse_config
 from oam_eraser.elements import (
@@ -20,11 +21,15 @@ from oam_eraser.elements import (
     apply_element,
     polarizer_apply,
 )
+from oam_eraser import experiment
 from oam_eraser.experiment import (
     CountingModel,
     ExperimentConfig,
+    NullOutcomeError,
     SourceSpec,
     _count_coincidences,
+    analyzer_probabilities,
+    causal_order_probability,
 )
 from oam_eraser.hilbert import (
     ARMS,
@@ -176,3 +181,31 @@ clicks = st.lists(st.integers(0, 96), max_size=60).map(
 def test_matcher_agrees_with_walk_on_dyadic_streams(times_a, times_b, gate):
     assert _count_coincidences(times_a, times_b, gate) == \
         greedy_coincidences(times_a, times_b, gate)
+
+
+# ---------------------------------------------------------------------------
+# projection order
+
+
+@no_deadline
+@given(states, st.floats(0.0, 2 * math.pi), unit,
+       st.integers(1, 4), st.floats(0.0, 2 * math.pi), modes)
+def test_projection_order_does_not_change_the_conditional(
+        state, alpha, extinction, ell, theta, mode):
+    """Polarizer first, hologram first and the grid kernel give one
+    conditional probability for any pipeline state."""
+    config = ExperimentConfig(
+        source=SourceSpec(),
+        analyzer_a=PolarizerSpec(alpha, extinction, arm="A"),
+        analyzer_b=HologramSpec(ell=ell, mode=mode, arm="B"))
+    with mock.patch.object(experiment, "run_pipeline",
+                           lambda _: (state, 1.0)):
+        try:
+            a_first = causal_order_probability(config, alpha, theta, "A_first")
+        except NullOutcomeError:
+            assume(False)  # the polarizer blocks this state
+        b_first = causal_order_probability(config, alpha, theta, "B_first")
+    _, kernel = analyzer_probabilities(state, config.analyzer_a,
+                                       config.analyzer_b, [alpha], [theta])
+    assert a_first == pytest.approx(kernel[0, 0], abs=1e-9)
+    assert b_first == pytest.approx(kernel[0, 0], abs=1e-9)
