@@ -206,7 +206,7 @@ CASES = {
     "ninth-power": [(lambda e: (e / 0.8) ** 9, (0.3 / 0.8) ** 9, 0.3),
                     (lambda e: -(e / 0.8) ** 9, -(0.61 / 0.8) ** 9, 0.61)],
     # flat at the root itself
-    "cubed-cube": [(lambda e, r=r: (e - r) ** 9, 0.0, r) for r in (0.07, 0.4, 0.77)],
+    "flat-at-root": [(lambda e, r=r: (e - r) ** 9, 0.0, r) for r in (0.07, 0.4, 0.77)],
     "near-endpoint": [(lambda e: e, r, r) for r in (3e-8, 1.2e-7, 0.8 - 3e-8)]
     + [(lambda e: -e, -r, r) for r in (2e-8, 0.8 - 1e-8)]
     + [(step_at(0.8 - 4e-8, 0.0, 1.0), 0.5, 0.8 - 4e-8)],
