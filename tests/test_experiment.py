@@ -419,6 +419,25 @@ def test_count_depends_only_on_its_key_and_mean(seed, repetition, joint, data):
     assert shorter == counts[:j]
 
 
+@pytest.mark.parametrize("seed, repetition, index", [
+    (0, 0, 0), (7, 3, 41), (2 ** 70 + 1, 2 ** 64 - 1, 2 ** 64 - 2)])
+def test_neighbouring_point_streams_share_no_raw_output(seed, repetition, index):
+    first, second = (
+        set(point_stream(seed, repetition, i).bit_generator.random_raw(64).tolist())
+        for i in (index, index + 1))
+    assert first.isdisjoint(second)
+
+
+@pytest.mark.parametrize("repetition", [2 ** 64, -1])
+def test_repetition_outside_a_counter_word_is_named(repetition):
+    config = hybrid_eraser_config(counting=CountingModel(seed=3))
+    series = ScanSeries("theta", (0.0,), (0.5,), joint_probabilities=(0.25,))
+    with pytest.raises(ValueError, match=f"repetition {repetition}"):
+        simulate_counts(config, series, repetition)
+    with pytest.raises(ValueError, match=f"repetition {repetition}"):
+        point_stream(3, repetition, 0)
+
+
 # ---------------------------------------------------------------------------
 # timeline
 
