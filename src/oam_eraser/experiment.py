@@ -424,90 +424,27 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 # counted data
 
 
+def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
+    """Philox key of ``seed``, once ``repetition`` and ``index`` are known
+    to fit their 64-bit counter words."""
+    for name, value in (("repetition", repetition), ("index", index)):
+        if not 0 <= value < 2 ** 64:
+            raise ValueError(f"{name} {value!r} outside [0, 2**64)")
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+
 def point_stream(seed: int, repetition: int, index: int) -> np.random.Generator:
     """Counter-based RNG stream for one scan point.
 
-    Keyed by ``(seed, repetition, index)`` only, so a point's draws do not
-    depend on the order (or parallel schedule) in which points are
-    evaluated.  This is the definition of the stream; :func:`simulate_counts`
-    starts every point in exactly this state without building it.
+    A Philox4x64 generator (Salmon et al., SC'11) keyed by the seed, whose
+    counter starts at ``[0, 0, index, repetition]``.  Draws advance counter
+    words 0-1 only, so no two points share a block, and a point's draws do
+    not depend on the order (or parallel schedule) in which points are
+    evaluated.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(repetition, index)))
-
-
-# numpy's SeedSequence hash constants (32-bit words) and PCG64 multiplier
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_columns(first: int, mult: int, rows: int) -> tuple:
-    """SeedSequence hash constants for ``rows`` steps as uint32 columns:
-    step ``k`` xors with ``first * mult**k`` and multiplies by the next
-    power."""
-    consts = np.array([first * pow(mult, k, 1 << 32) & _MASK32
-                       for k in range(rows + 1)], dtype=np.uint32)[:, None]
-    consts.flags.writeable = False
-    return consts[:-1], consts[1:]
-
-
-# generate_state's constants for its eight 32-bit words (four uint64)
-_STATE_HASH = _hash_columns(_INIT_B, _MULT_B, 8)
-
-
-def _hash(words: np.ndarray, columns: tuple) -> np.ndarray:
-    """SeedSequence's hash of uint32 ``words``, one step per row."""
-    xor, mul = columns
-    hashed = (words ^ xor) * mul
-    hashed ^= hashed >> 16
-    return hashed
-
-
-def _n_words(value: int) -> int:
-    """Number of 32-bit words SeedSequence reads from a non-negative int."""
-    return max(1, -(-value.bit_length() // 32))
-
-
-@lru_cache(maxsize=64)
-def _index_terms(words: int, count: int) -> np.ndarray:
-    """The index word's share of the mix into each pool word, for indices
-    ``0 .. count - 1`` that follow ``words`` entropy words; read-only.
-
-    Every word mixed before the index advanced the hash constant four
-    times, and the index is hashed once per pool word, so the terms depend
-    on the key's length, not on its words.
-    """
-    first = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
-    terms = _MIX_MULT_R * _hash(np.arange(count, dtype=np.uint32),
-                                _hash_columns(first, _MULT_A, 4))
-    terms.flags.writeable = False
-    return terms
-
-
-def _point_seeds(prefix: np.random.SeedSequence, count: int) -> list:
-    """PCG64 ``(state, inc)`` seeded from ``SeedSequence(prefix.entropy,
-    spawn_key=prefix.spawn_key + (i,))``, for each ``i < count`` at once.
-
-    That sequence mixes the word ``i`` last, into ``prefix.pool`` (both
-    pad the seed to the pool size, since ``prefix`` has a spawn key too);
-    then ``generate_state(4, uint64)`` and PCG64's seeding follow.
-    """
-    words = max(4, _n_words(prefix.entropy)) + sum(map(_n_words, prefix.spawn_key))
-    pool = (_MIX_MULT_L * prefix.pool)[:, None] - _index_terms(words, count)
-    pool ^= pool >> 16
-    state = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH)
-    # little-endian word pairs: seed high, seed low, inc high, inc low per
-    # point; then pcg64_set_seed's two LCG steps from state 0
-    seeds = []
-    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(
-            state.T, dtype="<u4").view("<u8").tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return seeds
+    return np.random.Generator(np.random.Philox(
+        key=_stream_key(seed, repetition, index),
+        counter=np.array([0, 0, index, repetition], dtype=np.uint64)))
 
 
 def simulate_counts(config: ExperimentConfig, series: ScanSeries,
@@ -517,24 +454,23 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     ``counts[i] ~ Poisson(pair_rate * T * joint[i] + accidentals)`` with
     the accidental term ``2 * singles_a * singles_b * gate * T``.  Point ``i``
     draws from ``point_stream(seed, repetition, i)``, so identical seeds
-    give identical counts regardless of evaluation order.  One PCG64 is
-    reused: it is set to each point's starting state from
-    :func:`_point_seeds`, which gives the same draws without building a
-    SeedSequence and a Generator per point.
+    give identical counts regardless of evaluation order.  One Philox is
+    reused: each point writes its counter words and an empty buffer into
+    it, which gives the same draws without a Generator per point.
     """
     joint = series.joint_probabilities
     if joint is None:
         raise ValueError("series carries no joint probabilities")
     cm = config.counting
     acc = cm.accidentals()
-    prefix = np.random.SeedSequence(cm.seed, spawn_key=(repetition,))
-    bitgen = np.random.PCG64(prefix)  # every point sets its own state
+    bitgen = np.random.Philox(key=_stream_key(cm.seed, repetition))
     draw = np.random.Generator(bitgen).poisson
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    state = bitgen.state  # a zero counter and an empty buffer (buffer_pos 4)
+    counter = state["state"]["counter"]
     counts = []
-    for (start, inc), p in zip(_point_seeds(prefix, len(joint)), joint):
-        state["state"] = {"state": start, "inc": inc}
-        bitgen.state = state
+    for index, p in enumerate(joint):
+        counter[2:] = index, repetition
+        bitgen.state = state  # drops any word the last point left buffered
         counts.append(int(draw(cm.pair_rate * cm.integration_time * p + acc)))
     return replace(series, counts=tuple(counts))
 

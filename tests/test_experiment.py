@@ -18,7 +18,6 @@ from oam_eraser.experiment import (
     SourceSpec,
     _count_coincidences,
     _pipeline,
-    _point_seeds,
     analyzer_probabilities,
     build_source_state,
     causal_order_probability,
@@ -375,6 +374,7 @@ JOINT_CLASSES = (0.0, 3e-7, 9.9e-7, 1e-6, 5e-5, 1.0)
     (2 ** 31 - 1, 2 ** 33 + 1, 17),
     (2 ** 64 + 5, 3, 40),  # three-word seed
     (2 ** 128 + 9, 1, 12),  # more seed words than the pool holds
+    (5, 2 ** 64 - 1, 9),  # the largest repetition
 ])
 def test_counts_equal_one_stream_per_point(seed, repetition, n):
     joint = [JOINT_CLASSES[i % len(JOINT_CLASSES)] for i in range(n)]
@@ -388,19 +388,6 @@ def test_counts_with_accidentals_equal_one_stream_per_point():
     counts, oracle = counts_and_oracle(97, 2, joint, pair_rate=40.0,
                                        singles=3e3)
     assert list(counts) == oracle
-
-
-@pytest.mark.parametrize("seed, repetition", [
-    (0, 0), (5, 2 ** 32), (2 ** 63 - 25, 11), (2 ** 96 + 1, 2 ** 64)])
-def test_point_seeds_equal_seeded_pcg64(seed, repetition):
-    want = []
-    for i in range(9):
-        bitgen = np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(repetition, i)))
-        state = bitgen.state["state"]
-        want.append((state["state"], state["inc"]))
-    prefix = np.random.SeedSequence(seed, spawn_key=(repetition,))
-    assert _point_seeds(prefix, 9) == want
 
 
 @settings(deadline=None, max_examples=60)
