@@ -494,7 +494,7 @@ DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "eraser.cfg"
 #: (fit fields print rounding noise at 12 significant digits).
 DEMO_DIGESTS = {
     "scan_theta.csv":
-        "5ef9f0aa9f62c923dca9d687f1b0335e78e1f3a77288f3feda70199258bd5dd6",
+        "ca47d4bd8de6cba893c19fc726445980745fdaaada06a9f34041b16c2026712a",
     "scan_theta.svg":
         "9f2edf0d79950c19d5c0eb3a72855fdcf429d57c9290e90b81b4caad46bd46e5",
     "scan_grid.csv":
