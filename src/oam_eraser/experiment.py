@@ -424,12 +424,11 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 # counted data
 
 
-def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
-    """Philox key of ``seed``, once ``repetition`` and ``index`` are known
-    to fit their 64-bit counter words."""
-    for name, value in (("repetition", repetition), ("index", index)):
-        if not 0 <= value < 2 ** 64:
-            raise ValueError(f"{name} {value!r} outside [0, 2**64)")
+def _stream_key(seed: int, repetition: int) -> np.ndarray:
+    """Philox key of ``seed``, once ``repetition`` is known to fit its
+    64-bit counter word."""
+    if not 0 <= repetition < 2 ** 64:
+        raise ValueError(f"repetition {repetition!r} outside [0, 2**64)")
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
@@ -443,7 +442,7 @@ def point_stream(seed: int, repetition: int, index: int) -> np.random.Generator:
     evaluated.
     """
     return np.random.Generator(np.random.Philox(
-        key=_stream_key(seed, repetition, index),
+        key=_stream_key(seed, repetition),
         counter=np.array([0, 0, index, repetition], dtype=np.uint64)))
 
 
