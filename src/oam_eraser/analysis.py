@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import elements as el
-from .hilbert import (NULL_TOL, JointKet, checked_probability,
-                      reduced_density)
+from .hilbert import NULL_TOL, JointKet, checked_probability
 from .experiment import (
     ExperimentConfig,
     ScanSeries,
@@ -252,33 +251,22 @@ def distinguishability(state: JointKet, ell: int, path_arm: str = "B") -> float:
     or ``-ell`` and ``p+-`` the path probabilities.  With equally likely
     paths this is exactly the trace distance between the two conditional
     marker states; a path of zero probability is fully distinguishable by
-    absence (D = 1).
+    absence (D = 1).  Each ``p rho`` is ``A A^dagger``, where ``A`` holds
+    one path's amplitudes by marker label and path polarization.
     """
-    marker_arm = "A" if path_arm == "B" else "B"
-    ell_index = 3 if path_arm == "B" else 1
-    plus, minus = {}, {}
-    for key, amp in state.amplitudes.items():
-        if key[ell_index] == ell:
-            plus[key] = amp
-        elif key[ell_index] == -ell:
-            minus[key] = amp
-        else:
+    mp, ml, pp, pl = (0, 1, 2, 3) if path_arm == "B" else (2, 3, 0, 1)
+    amps = state.amplitudes
+    at = {m: i for i, m in enumerate(sorted({(k[mp], k[ml]) for k in amps}))}
+    cols = np.zeros((2, len(at), 2), dtype=complex)
+    for k, amp in amps.items():
+        if abs(k[pl]) != abs(ell):
             raise ValueError(f"state leaves the +-{ell} path subspace")
-    p_plus = sum(abs(a) ** 2 for a in plus.values())
-    p_minus = sum(abs(a) ** 2 for a in minus.values())
-    if p_plus < NULL_TOL or p_minus < NULL_TOL:
+        cols[int(k[pl] != ell), at[k[mp], k[ml]], k[pp]] = amp
+    plus, minus = cols
+    if min(np.sum(np.abs(cols) ** 2, axis=(1, 2))) < NULL_TOL:
         return 1.0
-    basis = sorted({(k[0], k[1]) if marker_arm == "A" else (k[2], k[3])
-                    for k in state.amplitudes})
-    rho_plus = reduced_density(
-        JointKet({k: a / math.sqrt(p_plus) for k, a in plus.items()}),
-        marker_arm, "both", basis=basis)
-    rho_minus = reduced_density(
-        JointKet({k: a / math.sqrt(p_minus) for k, a in minus.items()}),
-        marker_arm, "both", basis=basis)
-    diff = p_plus * rho_plus.matrix - p_minus * rho_minus.matrix
-    d = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return checked_probability(d)
+    diff = plus @ plus.conj().T - minus @ minus.conj().T
+    return checked_probability(float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
 
 
 def complementarity_check(vis: float, dist: float) -> ComplementarityRecord:

@@ -335,7 +335,8 @@ def _label_slot(key: tuple, arm: str, dof: str):
 
 def reduced_density(state: JointKet, arm: str, dof: str = "both",
                     basis: Sequence | None = None) -> DensityMatrix:
-    """Partial trace down to one arm (optionally one degree of freedom)."""
+    """Partial trace down to one arm (optionally one degree of freedom);
+    demo 01's purities and the tests' which-path oracle use it."""
     if arm not in ARMS:
         raise ValueError("empty or unknown arm selector")
     if abs(state.norm() - 1.0) > _NORM_TOL:

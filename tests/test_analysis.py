@@ -24,8 +24,9 @@ from oam_eraser.analysis import (
     with_fit,
 )
 from oam_eraser.elements import HologramSpec, hologram_apply
-from oam_eraser.experiment import ScanSeries, hybrid_eraser_config
-from oam_eraser.hilbert import POL_H, POL_V, joint_ket
+from oam_eraser.experiment import (ScanSeries, analyzer_probabilities,
+                                   hybrid_eraser_config)
+from oam_eraser.hilbert import NULL_TOL, POL_H, POL_V, joint_ket, reduced_density
 
 from conftest import marked_pair
 
@@ -393,6 +394,88 @@ def test_fringe_visibility_matches_sparse_projection(arm):
             want = visibility(with_fit(series, on="probabilities"))
             got = oam_fringe_visibility(state, ell, arm=arm)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+#: marker labels ``(polarization, OAM)`` the random marked states draw from
+MARKER_LABELS = tuple((pol, ell) for pol in (POL_H, POL_V) for ell in range(-2, 3))
+
+
+def random_marked_state(rng, ell, path_arm, path_pols=(POL_H, POL_V)):
+    """A random ket with the ``+-ell`` paths on ``path_arm`` and 1-5 marker
+    labels on the other arm; now and then one path is left empty."""
+    picks = rng.choice(len(MARKER_LABELS), size=int(rng.integers(1, 6)),
+                       replace=False)
+    signs = (1, -1) if rng.random() < 0.8 else (int(rng.choice([1, -1])),)
+    amps = {}
+    for marker in (MARKER_LABELS[i] for i in picks):
+        for path in ((pol, sign * ell) for sign in signs for pol in path_pols):
+            key = marker + path if path_arm == "B" else path + marker
+            amps[key] = complex(rng.normal(), rng.normal())
+    return joint_ket(amps)
+
+
+def marker_basis(states, path_arm):
+    return sorted({(k[0], k[1]) if path_arm == "B" else (k[2], k[3])
+                   for state in states for k in state.amplitudes})
+
+
+def marker_difference(state, ell, path_arm, basis):
+    """Path weights ``(p+, p-)`` and ``p+ rho+ - p- rho-`` over the marker
+    arm's ``basis``, each ``rho`` the reduced density of one path's branch."""
+    marker_arm = "A" if path_arm == "B" else "B"
+    slot = 3 if path_arm == "B" else 1
+    weights, diff = [], np.zeros((len(basis), len(basis)), dtype=complex)
+    for sign in (1, -1):
+        branch = {k: a for k, a in state.amplitudes.items()
+                  if k[slot] == sign * ell}
+        weights.append(sum(abs(a) ** 2 for a in branch.values()))
+        if branch:
+            rho = reduced_density(joint_ket(branch), marker_arm, basis=basis)
+            diff += sign * weights[-1] * rho.matrix
+    return weights, diff
+
+
+def trace_norm(matrix):
+    return float(np.sum(np.abs(np.linalg.eigvalsh(matrix))))
+
+
+def test_distinguishability_matches_reduced_density_oracle():
+    rng = np.random.default_rng(2154)
+    for _ in range(1000):
+        ell, path_arm = int(rng.integers(1, 4)), str(rng.choice(["A", "B"]))
+        state = random_marked_state(rng, ell, path_arm)
+        weights, diff = marker_difference(state, ell, path_arm,
+                                          marker_basis([state], path_arm))
+        want = 1.0 if min(weights) < NULL_TOL else trace_norm(diff)
+        got = distinguishability(state, ell, path_arm=path_arm)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), path_arm=st.sampled_from(["A", "B"]),
+       weights=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+def test_mixed_markers_stay_inside_the_complementarity_bound(seed, path_arm,
+                                                             weights):
+    # Englert, PRL 77, 2154 (1996): V^2 + D^2 <= 1 for a mixture of kets,
+    # with equality for one ket.  The kernel is linear in rho, so the
+    # weight-summed scans are the mixture's scan; D is the trace norm of
+    # the weight-summed p+ rho+ - p- rho-.
+    rng = np.random.default_rng(seed)
+    kets = [random_marked_state(rng, 1, path_arm, path_pols=(POL_H,))
+            for _ in weights]
+    weights = np.asarray(weights) / sum(weights)
+    thetas = np.linspace(0.0, 2 * math.pi, 72, endpoint=False)
+    hologram = HologramSpec(ell=1, arm=path_arm)
+    probs = sum(w * analyzer_probabilities(ket, None, hologram, (), thetas)[1][0]
+                for w, ket in zip(weights, kets))
+    vis = visibility(with_fit(series_of(thetas, probs), on="probabilities"))
+    basis = marker_basis(kets, path_arm)
+    dist = trace_norm(sum(w * marker_difference(ket, 1, path_arm, basis)[1]
+                          for w, ket in zip(weights, kets)))
+    total = vis ** 2 + dist ** 2
+    assert total <= 1.0 + 1e-9
+    if len(kets) == 1:
+        assert abs(total - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
