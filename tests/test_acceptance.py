@@ -305,8 +305,12 @@ def test_criterion_5_state_vector_vs_channel_oracle():
                 nulls += 1
                 continue
             assert rho_dm is not None
-            rho_sv = density_of(state, basis)
-            eigs = np.linalg.eigvalsh(rho_sv - rho_dm)
+            diff = density_of(state, basis) - rho_dm
+            # all-zero rows and columns only add zero eigenvalues, so the
+            # trace norm on the rest is exact, and small enough that its
+            # cost does not depend on BLAS threading
+            live = np.flatnonzero(np.any(diff != 0, axis=0) | np.any(diff != 0, axis=1))
+            eigs = np.linalg.eigvalsh(diff[np.ix_(live, live)])
             dist = 0.5 * float(np.sum(np.abs(eigs)))
             worst = max(worst, dist, abs(p_sv - p_dm))
             assert dist <= 1e-10
