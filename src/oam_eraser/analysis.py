@@ -1,17 +1,18 @@
 """Fringe analytics: visibility, which-path knowledge, pattern rendering.
 
-Visibility is the Michelson contrast ``(P_max - P_min)/(P_max + P_min)``,
-taken from a fitted sinusoid when a fit is attached to the series and from
-raw extrema otherwise.  Which-path knowledge is quantified as the trace
-norm of the weighted difference between the marker states conditioned on
-each path; for pure joint states the two satisfy ``V**2 + D**2 = 1``.
+Visibility is the Michelson contrast ``(P_max - P_min)/(P_max + P_min)``:
+from raw extrema, or from a fringe fit, which is closed-form for exact
+scans (:func:`exact_fringes`) and least squares for counted or read-back
+ones (:func:`fit_sinusoid`).  Which-path knowledge is
+the trace norm of the weighted difference between the marker states
+conditioned on each path; for pure joint states ``V**2 + D**2 = 1``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +22,13 @@ from .experiment import (
     ExperimentConfig,
     ScanSeries,
     analyzer_probabilities,
-    theta_scans,
+    run_pipeline,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Least-squares parameters of ``offset + amplitude*cos(2x + phase)``.
+    """Fitted or exact parameters of ``offset + amplitude*cos(2x + phase)``.
 
     For probability data the amplitude never exceeds the offset (the curve
     stays non-negative); ``residual_rms`` is the root-mean-square misfit.
@@ -109,8 +108,12 @@ def fit_sinusoid(series: ScanSeries, on: str = "auto") -> FringeFit:
                      residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def with_fit(series: ScanSeries, on: str = "auto") -> ScanSeries:
-    return replace(series, fit=fit_sinusoid(series, on))
+def _fit_visibility(fit: FringeFit) -> float:
+    if fit.offset <= 0.0:
+        raise ValueError("no signal")
+    # clamped, not checked: a sinusoid fit to noisy counts can
+    # legitimately give amplitude/offset > 1
+    return min(max(fit.amplitude / fit.offset, 0.0), 1.0)
 
 
 def visibility(series: ScanSeries) -> float:
@@ -121,11 +124,7 @@ def visibility(series: ScanSeries) -> float:
     full fringe period (pi for the frequency-2 fringes here).
     """
     if series.fit is not None:
-        if series.fit.offset <= 0.0:
-            raise ValueError("no signal")
-        # clamped, not checked: a sinusoid fit to noisy counts can
-        # legitimately give amplitude/offset > 1
-        return min(max(series.fit.amplitude / series.fit.offset, 0.0), 1.0)
+        return _fit_visibility(series.fit)
     values = np.asarray(series.probabilities, dtype=float)
     span = max(series.settings) - min(series.settings)
     if len(values) < 2 or span < math.pi * (1.0 - 1e-9):
@@ -141,6 +140,18 @@ def theoretical_visibility(alpha: float) -> float:
     return abs(math.sin(2.0 * alpha))
 
 
+def exact_fringes(state: JointKet, polarizer, hologram, alphas) -> list:
+    """Exact fringe of the sector scan at each polarizer angle (one fringe
+    for ``polarizer=None``).  The scan is one harmonic, so the kernel at three
+    angles ``theta_k`` a third of a period apart fixes it: ``offset = mean(p_k)``
+    and ``amplitude*e^{i phase} = (2/3) sum_k p_k e^{-2i theta_k}``."""
+    thetas = math.pi / 3.0 * np.arange(3)
+    _, probs = analyzer_probabilities(state, polarizer, hologram, alphas, thetas)
+    coeffs = probs @ (2.0 / 3.0 * np.exp(-2j * thetas))
+    return [FringeFit(float(o), abs(c), cmath.phase(c), 0.0)
+            for o, c in zip(probs.mean(axis=1), coeffs.tolist())]
+
+
 @dataclass(frozen=True)
 class VisibilityPoint:
     alpha: float
@@ -150,30 +161,26 @@ class VisibilityPoint:
 
 def visibility_points(alphas, series) -> list:
     """Fitted visibility (of counts if present) of each scan at its angle."""
-    points = []
-    for alpha, scan in zip(alphas, series):
-        fit = fit_sinusoid(scan)
-        points.append(VisibilityPoint(float(alpha),
-                                      visibility(replace(scan, fit=fit)), fit))
-    return points
+    return [VisibilityPoint(float(alpha), _fit_visibility(fit), fit)
+            for alpha, fit in zip(alphas, map(fit_sinusoid, series))]
 
 
-def visibility_curve(config: ExperimentConfig, alphas,
-                     theta_points: int = 72):
-    """Fitted visibility of a hologram scan at each polarizer angle."""
-    return visibility_points(alphas, theta_scans(config, alphas,
-                                                 points=theta_points))
+def visibility_curve(config: ExperimentConfig, alphas, theta_points=None):
+    """Exact scan visibility per polarizer angle; ``theta_points`` has no effect."""
+    state, _ = run_pipeline(config)
+    fits = exact_fringes(state, config.analyzer_a, config.analyzer_b, alphas)
+    return [VisibilityPoint(float(alpha), _fit_visibility(fit), fit)
+            for alpha, fit in zip(alphas, fits)]
 
 
-def fitted_visibility(config: ExperimentConfig, theta_points: int = 72):
-    """Visibility of the exact hologram scan, via the sinusoid fit."""
-    point, = visibility_curve(config, [config.analyzer_a.alpha], theta_points)
+def fitted_visibility(config: ExperimentConfig):
+    """Visibility and fringe of the exact scan at the configured angle."""
+    point, = visibility_curve(config, [config.analyzer_a.alpha])
     return point.visibility, point.fit
 
 
 def calibrate_extinction(config_builder, target_visibility: float,
-                         bracket=(0.0, 0.8), tol: float = 1e-7,
-                         theta_points: int = 72) -> float:
+                         bracket=(0.0, 0.8), tol: float = 1e-7) -> float:
     """Solve for the polarizer leak at which the fitted visibility hits a target.
 
     ``config_builder(extinction)`` must return the experiment to evaluate;
@@ -192,7 +199,7 @@ def calibrate_extinction(config_builder, target_visibility: float,
     lo, hi = bracket
 
     def misfit(e: float) -> float:
-        vis, _ = fitted_visibility(config_builder(e), theta_points)
+        vis, _ = fitted_visibility(config_builder(e))
         return vis - target_visibility
 
     f_lo, f_hi = misfit(lo), misfit(hi)
@@ -232,15 +239,10 @@ def calibrate_extinction(config_builder, target_visibility: float,
 # which-path knowledge and complementarity
 
 
-def oam_fringe_visibility(state: JointKet, ell: int, points: int = 72,
-                          arm: str = "B") -> float:
+def oam_fringe_visibility(state: JointKet, ell: int, arm: str = "B") -> float:
     """Visibility of the sector scan of a raw state on one arm (no polarizer)."""
-    thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
-    _, probs = analyzer_probabilities(state, None, el.HologramSpec(ell=ell, arm=arm),
-                                      (), thetas)
-    series = ScanSeries("theta", tuple(float(t) for t in thetas),
-                        tuple(float(p) for p in probs[0]))
-    return visibility(with_fit(series, on="probabilities"))
+    fit, = exact_fringes(state, None, el.HologramSpec(ell=ell, arm=arm), ())
+    return _fit_visibility(fit)
 
 
 def distinguishability(state: JointKet, ell: int, path_arm: str = "B") -> float:
@@ -288,7 +290,7 @@ def complementarity_check(vis: float, dist: float) -> ComplementarityRecord:
 
 
 def azimuthal_grid(grid_n: int) -> np.ndarray:
-    return TWO_PI * np.arange(grid_n) / grid_n
+    return 2.0 * math.pi * np.arange(grid_n) / grid_n
 
 
 def render_azimuthal_pattern(ell: int, intermodal_phase: float, grid_n: int,

@@ -424,11 +424,12 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 # counted data
 
 
-def _stream_key(seed: int, repetition: int) -> np.ndarray:
-    """Philox key of ``seed``, once ``repetition`` is known to fit its
-    64-bit counter word."""
-    if not 0 <= repetition < 2 ** 64:
-        raise ValueError(f"repetition {repetition!r} outside [0, 2**64)")
+def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
+    """Philox key of ``seed``, once ``repetition`` and ``index`` are known to
+    fit their 64-bit counter words."""
+    for name, word in (("repetition", repetition), ("index", index)):
+        if not 0 <= word < 2 ** 64:
+            raise ValueError(f"{name} {word!r} outside [0, 2**64)")
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
@@ -442,7 +443,7 @@ def point_stream(seed: int, repetition: int, index: int) -> np.random.Generator:
     evaluated.
     """
     return np.random.Generator(np.random.Philox(
-        key=_stream_key(seed, repetition),
+        key=_stream_key(seed, repetition, index),
         counter=np.array([0, 0, index, repetition], dtype=np.uint64)))
 
 
@@ -474,10 +475,6 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     return replace(series, counts=tuple(counts))
 
 
-# largest mean numpy's Generator.poisson accepts
-_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
-
-
 def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,
                       duration: float):
     """Event-by-event Monte Carlo of the gated coincidence counter.
@@ -496,32 +493,31 @@ def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,
         raise ValueError(f"duration must be positive and finite, got {duration!r} s")
     cm = config.counting
     clicks = max(cm.pair_rate, cm.singles_a, cm.singles_b) * duration
-    if clicks > _POISSON_LAM_MAX:
-        raise ValueError(f"duration {duration!r} s is too long: {clicks:.3g} "
-                         f"expected clicks exceed the Poisson draw's limit")
     joint, _ = coincidence_probability(config, alpha, theta)
 
-    def rng(stream: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(cm.seed, spawn_key=(stream,)))
+    # seeded before the draws, so that a bad seed keeps its own error
+    emit, keep, *singles = (
+        np.random.default_rng(np.random.SeedSequence(cm.seed, spawn_key=(stream,)))
+        for stream in (1, 2, 3, 4))
+    try:
+        n_pairs = emit.poisson(cm.pair_rate * duration)
+        pair_times = np.sort(emit.uniform(0.0, duration, n_pairs))
+        pair_times = pair_times[keep.random(n_pairs) < joint]
 
-    emit = rng(1)
-    n_pairs = emit.poisson(cm.pair_rate * duration)
-    pair_times = np.sort(emit.uniform(0.0, duration, n_pairs))
-    pair_times = pair_times[rng(2).random(n_pairs) < joint]
+        def arm_clicks(arm: str, r: np.random.Generator, rate: float):
+            times = pair_times + config.arm_delay(arm)
+            if rate > 0.0:
+                accidental = np.sort(r.uniform(0.0, duration,
+                                               r.poisson(rate * duration)))
+                times = np.concatenate([times, accidental])
+            order = np.argsort(times, kind="stable")
+            return times[order], order < len(pair_times)
 
-    def arm_clicks(arm: str, stream: int, rate: float):
-        times = pair_times + config.arm_delay(arm)
-        if rate > 0.0:
-            r = rng(stream)
-            accidental = np.sort(r.uniform(0.0, duration,
-                                           r.poisson(rate * duration)))
-            times = np.concatenate([times, accidental])
-        order = np.argsort(times, kind="stable")
-        return times[order], order < len(pair_times)
-
-    times_a, true_pair_a = arm_clicks("A", 3, cm.singles_a)
-    times_b, true_pair_b = arm_clicks("B", 4, cm.singles_b)
+        times_a, true_pair_a = arm_clicks("A", singles[0], cm.singles_a)
+        times_b, true_pair_b = arm_clicks("B", singles[1], cm.singles_b)
+    except (ValueError, MemoryError):  # a Poisson mean or an array too large
+        raise ValueError(f"duration {duration!r} s is too long: {clicks:.3g} "
+                         "expected clicks cannot be drawn and held") from None
     events = EventTable(times_a, true_pair_a, times_b, true_pair_b)
     return events, _count_coincidences(times_a, times_b, cm.gate)
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oam_eraser.analysis import (
     complementarity_check,
     count_azimuthal_lobes,
     distinguishability,
+    exact_fringes,
     fit_sinusoid,
     fitted_visibility,
     oam_fringe_visibility,
@@ -21,11 +23,10 @@ from oam_eraser.analysis import (
     two_path_pattern,
     visibility,
     visibility_curve,
-    with_fit,
 )
 from oam_eraser.elements import HologramSpec, hologram_apply
 from oam_eraser.experiment import (ScanSeries, analyzer_probabilities,
-                                   hybrid_eraser_config)
+                                   hybrid_eraser_config, run_pipeline)
 from oam_eraser.hilbert import NULL_TOL, POL_H, POL_V, joint_ket, reduced_density
 
 from conftest import marked_pair
@@ -36,6 +37,10 @@ ROOT2 = math.sqrt(2.0)
 def series_of(settings, values):
     return ScanSeries("theta", tuple(float(s) for s in settings),
                       tuple(float(v) for v in values))
+
+
+def with_fit(series, on="auto"):
+    return replace(series, fit=fit_sinusoid(series, on))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +183,7 @@ def solve(monkeypatch):
     """``calibrate_extinction`` with the builder's value as the visibility,
     so ``f`` is solved for ``f(e) = target``; returns ``(e, evaluations)``."""
     monkeypatch.setattr(analysis, "fitted_visibility",
-                        lambda value, theta_points: (value, None))
+                        lambda value: (value, None))
 
     def run(f, target, calls=None):
         calls = [] if calls is None else calls
@@ -394,6 +399,72 @@ def test_fringe_visibility_matches_sparse_projection(arm):
             want = visibility(with_fit(series, on="probabilities"))
             got = oam_fringe_visibility(state, ell, arm=arm)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+#: the oracle's grid: 72 hologram angles over a full turn
+ORACLE_THETAS = np.linspace(0.0, 2 * math.pi, 72, endpoint=False)
+
+
+def lstsq_fringes(state, polarizer, hologram, alphas):
+    """``(offset, amplitude, phase)`` per row of the kernel's 72-angle scan,
+    each from a least-squares fit of ``c0 + c1 cos 2t + c2 sin 2t``."""
+    _, probs = analyzer_probabilities(state, polarizer, hologram, alphas,
+                                      ORACLE_THETAS)
+    design = np.column_stack([np.ones_like(ORACLE_THETAS),
+                              np.cos(2 * ORACLE_THETAS), np.sin(2 * ORACLE_THETAS)])
+    coeffs, *_ = np.linalg.lstsq(design, probs.T, rcond=None)
+    return [(c0, math.hypot(c1, c2), math.atan2(-c2, c1)) for c0, c1, c2 in coeffs.T]
+
+
+def clamped_ratio(amplitude, offset):
+    return min(max(amplitude / offset, 0.0), 1.0)
+
+
+def assert_fringes_match_oracle(fits, oracle):
+    assert len(fits) == len(oracle)
+    for fit, (offset, amplitude, phase) in zip(fits, oracle):
+        assert fit.residual_rms == 0.0
+        assert abs(fit.offset - offset) <= 1e-12
+        assert abs(fit.amplitude - amplitude) <= 1e-12
+        assert abs(clamped_ratio(fit.amplitude, fit.offset)
+                   - clamped_ratio(amplitude, offset)) <= 1e-12
+        if amplitude > 1e-9:
+            # the phase moves the curve by at most amplitude * |dphase|
+            dphase = math.remainder(fit.phase - phase, 2 * math.pi)
+            assert amplitude * abs(dphase) <= 1e-12
+
+
+@settings(deadline=None, max_examples=80)
+@given(alphas=st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=4),
+       leak=st.floats(0.0, 0.2), mode=st.sampled_from(["ideal", "binary"]),
+       l_max=st.integers(1, 10),
+       sigma_ell=st.one_of(st.none(), st.floats(0.5, 3.0)))
+def test_exact_fringes_match_a_least_squares_oracle(alphas, leak, mode, l_max,
+                                                    sigma_ell):
+    params = dict(extinction=leak, hologram_mode=mode, l_max=l_max,
+                  sigma_ell=sigma_ell,
+                  spectrum="flat" if sigma_ell is None else "gaussian")
+    config = hybrid_eraser_config(**params)
+    state, _ = run_pipeline(config)
+    args = (state, config.analyzer_a, config.analyzer_b, alphas)
+    oracle = lstsq_fringes(*args)
+    assert_fringes_match_oracle(exact_fringes(*args), oracle)
+    for alpha, (offset, amplitude, _) in zip(alphas, oracle):
+        vis, _ = fitted_visibility(hybrid_eraser_config(alpha=alpha, **params))
+        assert abs(vis - clamped_ratio(amplitude, offset)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), ell=st.integers(1, 3),
+       path_arm=st.sampled_from(["A", "B"]))
+def test_raw_state_fringes_match_a_least_squares_oracle(seed, ell, path_arm):
+    state = random_marked_state(np.random.default_rng(seed), ell, path_arm)
+    hologram = HologramSpec(ell=ell, arm=path_arm)
+    oracle = lstsq_fringes(state, None, hologram, ())
+    assert_fringes_match_oracle(exact_fringes(state, None, hologram, ()), oracle)
+    (offset, amplitude, _), = oracle
+    assert abs(oam_fringe_visibility(state, ell, arm=path_arm)
+               - clamped_ratio(amplitude, offset)) <= 1e-12
 
 
 #: marker labels ``(polarization, OAM)`` the random marked states draw from

@@ -56,3 +56,20 @@ def test_calibrate_op_passes_its_check_within_twelve_evaluations(workloads, seed
     leak = op.call()
     op.check(leak)
     assert 0 < op.work(leak) // 72 <= 12
+
+
+@pytest.mark.parametrize("kind", ["curve", "calibrate", "complementarity"])
+def test_exact_scans_op_makes_no_sinusoid_fit(workloads, monkeypatch, kind):
+    # exact scans read their fringe in closed form; the least-squares fit
+    # is for counted and read-back scans
+    fit, calls = oam_eraser.analysis.fit_sinusoid, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    for module in (oam_eraser, oam_eraser.analysis):
+        monkeypatch.setattr(module, "fit_sinusoid", counted)
+    op = getattr(workloads.ExactScans(seed=7, oe=oam_eraser), "_" + kind)()
+    op.check(op.call())
+    assert calls == []

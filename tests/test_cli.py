@@ -465,6 +465,19 @@ def test_unusable_duration_exit_code_names_it(tmp_path, config_path, capsys,
     assert "duration" in err and f"{float(duration)!r} s" in err
 
 
+def test_unallocatable_duration_exits_2_without_a_traceback(tmp_path):
+    # 1e12 s at the demo's 2000 Hz is 2e15 pair times, 14.2 PiB per array
+    src = DEMO_CONFIG.parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "oam_eraser", "timeline", str(DEMO_CONFIG),
+         "--duration-s", "1e12", "--out-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "duration 1000000000000.0 s is too long: 2e+15" in result.stderr
+
+
 def test_null_pipeline_exit_code_names_element(tmp_path, capsys):
     text = CANONICAL.replace("accepted_l = 0", "accepted_l = 7")
     path = tmp_path / "null.cfg"

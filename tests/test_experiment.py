@@ -425,6 +425,13 @@ def test_repetition_outside_a_counter_word_is_named(repetition):
         point_stream(3, repetition, 0)
 
 
+@pytest.mark.parametrize("index", [2 ** 64, -1])
+def test_index_outside_a_counter_word_is_named(index):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"index {index} outside [0, 2**64)")):
+        point_stream(3, 0, index)
+
+
 # ---------------------------------------------------------------------------
 # timeline
 
@@ -628,6 +635,13 @@ def test_timeline_rejects_bad_duration():
 def test_timeline_names_an_unusable_duration(duration, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         simulate_timeline(timeline_config(seed=1), 0.0, 0.0, duration)
+
+
+def test_timeline_seed_error_is_not_read_as_a_long_duration():
+    # the draws turn a ValueError into "too long"; seeding happens before them
+    with pytest.raises(ValueError, match="non-negative") as raised:
+        simulate_timeline(timeline_config(seed=-1), 0.0, 0.0, 1.0)
+    assert "too long" not in str(raised.value)
 
 
 def test_config_rejects_two_delays_per_arm():
