@@ -413,7 +413,8 @@ def lstsq_fringes(state, polarizer, hologram, alphas):
     design = np.column_stack([np.ones_like(ORACLE_THETAS),
                               np.cos(2 * ORACLE_THETAS), np.sin(2 * ORACLE_THETAS)])
     coeffs, *_ = np.linalg.lstsq(design, probs.T, rcond=None)
-    return [(c0, math.hypot(c1, c2), math.atan2(-c2, c1)) for c0, c1, c2 in coeffs.T]
+    return [(c0, math.hypot(c1, c2), math.atan2(-c2, c1))
+            for c0, c1, c2 in coeffs.T]
 
 
 def clamped_ratio(amplitude, offset):
@@ -435,7 +436,8 @@ def assert_fringes_match_oracle(fits, oracle):
 
 
 @settings(deadline=None, max_examples=80)
-@given(alphas=st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=4),
+@given(alphas=st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1,
+                      max_size=4),
        leak=st.floats(0.0, 0.2), mode=st.sampled_from(["ideal", "binary"]),
        l_max=st.integers(1, 10),
        sigma_ell=st.one_of(st.none(), st.floats(0.5, 3.0)))
