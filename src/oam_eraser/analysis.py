@@ -140,16 +140,20 @@ def theoretical_visibility(alpha: float) -> float:
     return abs(math.sin(2.0 * alpha))
 
 
+_FRINGE_THETAS = math.pi / 3.0 * np.arange(3)
+_FRINGE_WEIGHTS = 2.0 / 3.0 * np.exp(-2j * _FRINGE_THETAS)
+_FRINGE_THETAS.flags.writeable = _FRINGE_WEIGHTS.flags.writeable = False
+
+
 def exact_fringes(state: JointKet, polarizer, hologram, alphas) -> list:
     """Exact fringe of the sector scan at each polarizer angle (one fringe
     for ``polarizer=None``).  The scan is one harmonic, so the kernel at three
     angles ``theta_k`` a third of a period apart fixes it: ``offset = mean(p_k)``
     and ``amplitude*e^{i phase} = (2/3) sum_k p_k e^{-2i theta_k}``."""
-    thetas = math.pi / 3.0 * np.arange(3)
-    _, probs = analyzer_probabilities(state, polarizer, hologram, alphas, thetas)
-    coeffs = probs @ (2.0 / 3.0 * np.exp(-2j * thetas))
-    return [FringeFit(float(o), abs(c), cmath.phase(c), 0.0)
-            for o, c in zip(probs.mean(axis=1), coeffs.tolist())]
+    _, probs = analyzer_probabilities(state, polarizer, hologram, alphas, _FRINGE_THETAS)
+    coeffs = probs @ _FRINGE_WEIGHTS
+    return [FringeFit(o, abs(c), cmath.phase(c), 0.0)
+            for o, c in zip(probs.mean(axis=1).tolist(), coeffs.tolist())]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,10 @@ EXIT_IO = 4
 def _load(args) -> RunSpec:
     run = parse_config_file(args.config)
     if args.seed is not None:
-        counting = replace(run.config.counting, seed=args.seed)
+        try:
+            counting = replace(run.config.counting, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"option --seed: {exc}") from None
         run = replace(run, config=replace(run.config, counting=counting))
     return run
 

@@ -242,6 +242,11 @@ def parse_config(text: str) -> RunSpec:
 
     source = guard("source", replace, SourceSpec(), **src)
     delay_m = cnt.pop("extra_path", 0.0)
+    try:  # a bad seed is named by its key and line
+        CountingModel(seed=cnt.get("seed", 0))
+    except ValueError as exc:
+        raise ConfigError(str(exc), singles["counting"].entries["seed"][1],
+                          "seed") from exc
     counting = guard("counting", replace, CountingModel(), **cnt)
     analyzer_a = guard("analyzers", replace, ExperimentConfig.analyzer_a, **pol)
     analyzer_b = guard("analyzers", replace, ExperimentConfig.analyzer_b, **holo)

@@ -234,7 +234,9 @@ def transmission_state(alpha, extinction: float) -> np.ndarray:
     ca, sa = np.cos(alpha), np.sin(alpha)
     e = extinction
     scale = 1.0 / math.sqrt(1.0 + e * e)
-    return np.stack(((ca - e * sa) * scale, (sa + e * ca) * scale), axis=-1)
+    t = np.empty(alpha.shape + (2,))
+    t[..., 0], t[..., 1] = (ca - e * sa) * scale, (sa + e * ca) * scale
+    return t
 
 
 def polarizer_operator(spec: PolarizerSpec) -> LocalOperator:

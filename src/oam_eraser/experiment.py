@@ -123,6 +123,8 @@ class CountingModel:
             raise ValueError("integration time must be non-negative")
         if self.gate <= 0:
             raise ValueError("gate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def accidentals(self) -> float:
         """Expected accidental coincidences per integration window,
@@ -237,6 +239,20 @@ class ScanSeries:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
+@lru_cache(maxsize=64, typed=True)
+def _shared(spec_type, **fields):
+    """One instance per distinct immutable spec, for configs to share."""
+    return spec_type(**fields)
+
+
+#: arm A of the canonical eraser, shared by every config built from it
+_CANONICAL_ARM_A = (
+    el.QPlateSpec(q=0.5, arm="A"),
+    el.FiberSpec(arm="A", accepted_ell=0),
+    el.WavePlateSpec(kind="quarter", fast_axis=math.pi / 4, arm="A"),
+)
+
+
 def hybrid_eraser_config(alpha: float = 0.0,
                          extinction: float = 0.0,
                          hologram_mode: str = "ideal",
@@ -247,20 +263,16 @@ def hybrid_eraser_config(alpha: float = 0.0,
                          delay_m: float = 0.0) -> ExperimentConfig:
     """The canonical hybrid-entanglement eraser: q=0.5 plate, fiber and
     quarter-wave plate at pi/4 on arm A; polarizer/hologram analyzers."""
-    elements_a = [
-        el.QPlateSpec(q=0.5, arm="A"),
-        el.FiberSpec(arm="A", accepted_ell=0),
-        el.WavePlateSpec(kind="quarter", fast_axis=math.pi / 4, arm="A"),
-    ]
+    elements_a = _CANONICAL_ARM_A
     if delay_m > 0.0:
-        elements_a.append(el.DelaySpec(extra_path=delay_m, arm="A"))
+        elements_a += (el.DelaySpec(extra_path=delay_m, arm="A"),)
     return ExperimentConfig(
-        source=SourceSpec(kind="spdc", l_max=l_max, spectrum=spectrum,
-                          sigma_ell=sigma_ell),
-        elements_a=tuple(elements_a),
+        source=_shared(SourceSpec, l_max=l_max, spectrum=spectrum,
+                       sigma_ell=sigma_ell),
+        elements_a=elements_a,
         elements_b=(),
         analyzer_a=el.PolarizerSpec(alpha=alpha, extinction=extinction, arm="A"),
-        analyzer_b=el.HologramSpec(ell=1, mode=hologram_mode, arm="B"),
+        analyzer_b=_shared(el.HologramSpec, ell=1, mode=hologram_mode, arm="B"),
         counting=counting or CountingModel(),
     )
 
@@ -309,13 +321,26 @@ def run_pipeline(config: ExperimentConfig):
     return _pipeline(config.source, config.elements_a, config.elements_b)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=32)
+def _sector_vectors(angles: bytes, scale: float) -> tuple:
+    """Read-only conjugated and ``scale``-weighted sector rows at ``angles``."""
+    sector = el.sector_coefficients(np.frombuffer(angles)).reshape(-1, 2)
+    return _read_only(sector.conj()), _read_only(scale * sector)
+
+
 def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas):
     """Joint and conditional analyzer probabilities over an (alpha, theta) grid.
 
     Contracts the dense ``psi[pol, ell, pol_h, ell_h]`` (hologram arm last)
-    with each polarizer transmission vector, renormalizes, then with each
-    conjugated sector vector.  Amplitudes below ``PRUNE_TOL`` are dropped
-    as the sparse operators drop them, so dark fringes are exactly zero.
+    with each polarizer transmission vector, renormalizes the two ``+-ell``
+    columns, then contracts them with each (cached) conjugated sector vector.
+    Amplitudes below ``PRUNE_TOL`` are dropped as the sparse operators drop
+    them, so dark fringes are exactly zero.
     Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
     ``polarizer=None`` analyzes the hologram arm alone, in one row.
     """
@@ -329,22 +354,27 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
     psi = np.zeros((2, len(at_x), 2, len(at_y)), dtype=complex)
     for k, amp in amps.items():
         psi[k[px], at_x[k[lx]], k[py], at_y[k[ly]]] = amp
-    passed, p_pol = psi[None], np.ones(1)
+    columns = [at_y[ell], at_y[-ell]]
+    passed, p_pol, renorm = psi[None], np.ones(1), 1.0
     if polarizer is not None:
-        t = el.transmission_state(alphas, polarizer.extinction).reshape(-1, 2)
-        passed = np.einsum("ap,pxqy->axqy", t, psi)[:, None] * t[:, :, None, None, None]
-        passed[np.abs(passed) < PRUNE_TOL] = 0.0
-        p_pol = np.sum(np.abs(passed) ** 2, axis=(1, 2, 3, 4))
-        if np.any(p_pol < NULL_TOL):
+        t = el.transmission_state(alphas, polarizer.extinction).reshape(-1, 2, 1, 1, 1)
+        passed = (t[:, 0] * psi[0] + t[:, 1] * psi[1])[:, None] * t
+        size = np.abs(passed)
+        np.putmask(size, size < PRUNE_TOL, 0.0)
+        p_pol = (size ** 2).sum(axis=(1, 2, 3, 4))
+        if (p_pol < NULL_TOL).any():
             raise NullOutcomeError("polarizer[analyzer_a]")
-        passed = passed * (1.0 / np.sqrt(p_pol))[:, None, None, None, None]
-    sector = el.sector_coefficients(thetas).reshape(-1, 2)
+        # 1/sqrt(p_pol), and 0 where an amplitude was pruned
+        renorm = (size[..., columns] > 0.0) / np.sqrt(p_pol)[:, None, None, None, None]
     scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0
-    overlap = np.einsum("ty,apxqy->atpxq", sector.conj(),
-                        passed[..., [at_y[ell], at_y[-ell]]])
-    detected = scale * sector[:, None, None, None, :] * overlap[..., None]
-    detected[np.abs(detected) < PRUNE_TOL] = 0.0
-    p_holo = np.sum(np.abs(detected) ** 2, axis=(2, 3, 4, 5))
+    angles = np.asarray(thetas, dtype=float).tobytes()
+    # small angle sets recur (scans, fringe reads); large ones are not kept
+    vectors = _sector_vectors if len(angles) <= 8192 else _sector_vectors.__wrapped__
+    conj, scaled = vectors(angles, scale)
+    overlap = np.einsum("ty,apxqy->atpxq", conj, passed[..., columns] * renorm)
+    size = np.abs(scaled[:, None, None, None, :] * overlap[..., None])
+    np.putmask(size, size < PRUNE_TOL, 0.0)
+    p_holo = (size ** 2).sum(axis=(2, 3, 4, 5))
     return p_pol[:, None] * p_holo, checked_probability(p_holo)
 
 
@@ -367,18 +397,23 @@ def conditional_grid(config: ExperimentConfig, alphas, thetas):
                                   alphas, thetas)
 
 
+@lru_cache(maxsize=8)
+def _full_turn(points: int) -> np.ndarray:
+    return _read_only(np.linspace(0.0, TWO_PI, points, endpoint=False))
+
+
 def theta_scans(config: ExperimentConfig, alphas, thetas=None,
                 points: int = 72) -> list:
     """Exact hologram-rotation scans, one per polarizer angle, from one grid;
     without ``thetas``, ``points`` angles over a full turn."""
     if thetas is None:
-        thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
+        thetas = _full_turn(points)
     joint, cond = conditional_grid(config, alphas, thetas)
-    settings = tuple(float(t) for t in thetas)
+    settings = tuple(np.asarray(thetas, dtype=float).tolist())
     return [ScanSeries(scan_variable="theta", settings=settings,
-                       probabilities=tuple(float(p) for p in row_cond),
-                       joint_probabilities=tuple(float(p) for p in row_joint))
-            for row_joint, row_cond in zip(joint, cond)]
+                       probabilities=tuple(row_cond),
+                       joint_probabilities=tuple(row_joint))
+            for row_joint, row_cond in zip(joint.tolist(), cond.tolist())]
 
 
 def theta_scan(config: ExperimentConfig, thetas=None,
@@ -424,13 +459,18 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 # counted data
 
 
+@lru_cache(maxsize=64, typed=True)
+def _seed_key(seed: int) -> np.ndarray:
+    return _read_only(np.random.SeedSequence(seed).generate_state(2, np.uint64))
+
+
 def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
-    """Philox key of ``seed``, once ``repetition`` and ``index`` are known to
-    fit their 64-bit counter words."""
+    """Read-only Philox key of ``seed``, once ``repetition`` and ``index`` are
+    known to fit their 64-bit counter words."""
     for name, word in (("repetition", repetition), ("index", index)):
         if not 0 <= word < 2 ** 64:
             raise ValueError(f"{name} {word!r} outside [0, 2**64)")
-    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return _seed_key(seed)
 
 
 def point_stream(seed: int, repetition: int, index: int) -> np.random.Generator:
@@ -456,22 +496,26 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     draws from ``point_stream(seed, repetition, i)``, so identical seeds
     give identical counts regardless of evaluation order.  One Philox is
     reused: each point writes its counter words and an empty buffer into
-    it, which gives the same draws without a Generator per point.
+    it, which gives the same draws without a Generator per point.  The
+    seed's key is hashed once and cached, read-only.
     """
     joint = series.joint_probabilities
     if joint is None:
         raise ValueError("series carries no joint probabilities")
     cm = config.counting
-    acc = cm.accidentals()
-    bitgen = np.random.Philox(key=_stream_key(cm.seed, repetition))
+    acc, rate = cm.accidentals(), cm.pair_rate * cm.integration_time
+    key = _stream_key(cm.seed, repetition)
+    bitgen = np.random.Philox(key=key)
     draw = np.random.Generator(bitgen).poisson
-    state = bitgen.state  # a zero counter and an empty buffer (buffer_pos 4)
-    counter = state["state"]["counter"]
+    counter = [0, 0, 0, repetition]  # lists: the state setter reads word by word
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": key.tolist()},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = []
     for index, p in enumerate(joint):
-        counter[2:] = index, repetition
+        counter[2] = index
         bitgen.state = state  # drops any word the last point left buffered
-        counts.append(int(draw(cm.pair_rate * cm.integration_time * p + acc)))
+        counts.append(int(draw(rate * p + acc)))
     return replace(series, counts=tuple(counts))
 
 

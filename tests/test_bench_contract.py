@@ -7,8 +7,11 @@ a count that is not an ``int``) fails here, not only in a benchmark run.
 
 import importlib.util
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oam_eraser
@@ -73,3 +76,45 @@ def test_exact_scans_op_makes_no_sinusoid_fit(workloads, monkeypatch, kind):
     op = getattr(workloads.ExactScans(seed=7, oe=oam_eraser), "_" + kind)()
     op.check(op.call())
     assert calls == []
+
+
+def test_curve_op_hashes_each_seed_once(workloads, monkeypatch):
+    # the op draws six counted scans from one seed; its Philox key is derived
+    # once and then read from a cache
+    seed_sequence, seeds = np.random.SeedSequence, Counter()
+
+    def counted(seed=None, *args, **kwargs):
+        seeds[seed] += 1
+        return seed_sequence(seed, *args, **kwargs)
+
+    monkeypatch.setattr(oam_eraser.experiment.np.random, "SeedSequence", counted)
+    op = workloads.ExactScans(seed=7, oe=oam_eraser)._curve()
+    op.check(op.call())
+    assert all(calls <= 1 for calls in seeds.values()), seeds
+
+
+def test_a_config_holds_at_most_800_bytes():
+    # the benchmark keeps every op's config, so their size shows in its
+    # peak RSS; configs built alike share their element specs
+    rng = np.random.default_rng(5)
+
+    def build():
+        counting = oam_eraser.CountingModel(
+            pair_rate=float(rng.uniform(1e3, 1e5)),
+            singles_a=float(rng.uniform(1e3, 1e4)),
+            singles_b=float(rng.uniform(1e3, 1e4)),
+            seed=int(rng.integers(2 ** 31)))
+        return oam_eraser.hybrid_eraser_config(
+            extinction=float(rng.uniform(0.0, 0.2)), counting=counting,
+            l_max=int(rng.integers(1, 11)))
+
+    build()
+    kept = []
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept.extend(build() for _ in range(1000))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(kept) <= 800

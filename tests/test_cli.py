@@ -315,6 +315,10 @@ CONFIG_ERRORS = [
     ("[counting]\ngate_s = 1e-8\ndelay_m = -Infinity\n",
      "expected finite float value, got '-Infinity' (line 3, key 'delay_m')",
      3, "delay_m"),
+    # a negative seed is named by its key, not only by its section
+    ("[counting]\ngate_s = 1e-8\nseed = -5\n",
+     "seed must be a non-negative integer, got -5 (line 3, key 'seed')",
+     3, "seed"),
     ("[scan]\ntheta_stop_rad = 1e400\n",
      "expected finite float value, got '1e400' (line 2, key 'theta_stop_rad')",
      2, "theta_stop_rad"),
@@ -476,6 +480,17 @@ def test_unallocatable_duration_exits_2_without_a_traceback(tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "duration 1000000000000.0 s is too long: 2e+15" in result.stderr
+
+
+@pytest.mark.parametrize("command", [["scan-theta", "--counts"], ["timeline"]])
+def test_negative_seed_option_exits_2_and_names_it(tmp_path, config_path,
+                                                   capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, config_path, "--seed", "-1",
+                 "--out-dir", str(out)]) == 2
+    assert ("option --seed: seed must be a non-negative integer, got -1"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_null_pipeline_exit_code_names_element(tmp_path, capsys):

@@ -30,9 +30,11 @@ from oam_eraser.experiment import (
     simulate_timeline,
     theta_scan,
 )
-from oam_eraser.hilbert import POL_H, POL_V, state_overlap
+from oam_eraser import analysis, experiment
+from oam_eraser.hilbert import POL_H, POL_V, joint_ket, state_overlap
 from oam_eraser.output import events_csv, fmt
 
+import parent_kernel
 from conftest import greedy_coincidences, marked_pair
 
 ROOT2 = math.sqrt(2.0)
@@ -275,6 +277,114 @@ def test_dark_fringes_are_exact_zeros():
 
 
 # ---------------------------------------------------------------------------
+# analyzer kernel against a frozen copy of the kernel before its rework:
+# every byte of both grids must agree
+
+
+def kernel_outcome(kernel, *args):
+    """The grids' shapes and bytes, or the error the kernel raised."""
+    try:
+        joint, cond = kernel(*args)
+    except (NullOutcomeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return joint.shape, joint.tobytes(), cond.shape, cond.tobytes()
+
+
+# multiples of pi/4 put alpha and theta on dark fringes, which are pruned
+angles = st.one_of(st.floats(0.0, 2 * math.pi),
+                   st.integers(-8, 8).map(lambda k: k * math.pi / 4))
+angle_sets = st.lists(angles, min_size=1, max_size=8).map(np.array)
+eraser_configs = st.builds(
+    lambda l_max, sigma, mode, leak: hybrid_eraser_config(
+        extinction=leak, hologram_mode=mode, l_max=l_max,
+        spectrum="flat" if sigma is None else "gaussian", sigma_ell=sigma),
+    st.integers(0, 10), st.none() | st.floats(0.3, 3.0),
+    st.sampled_from(("ideal", "binary")), st.floats(0.0, 0.3))
+raw_states = st.dictionaries(
+    st.tuples(st.sampled_from((POL_H, POL_V)), st.integers(-4, 4),
+              st.sampled_from((POL_H, POL_V)), st.integers(-4, 4)),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0),
+    min_size=1, max_size=8).map(joint_ket)
+
+
+@settings(deadline=None, max_examples=150)
+@given(config=eraser_configs, alphas=angle_sets, thetas=angle_sets)
+def test_kernel_grids_are_byte_identical_to_the_frozen_kernel(config, alphas,
+                                                              thetas):
+    # l_max = 0 empties the pipeline, and both raise the same error then
+    assert kernel_outcome(conditional_grid, config, alphas, thetas) == \
+        kernel_outcome(parent_kernel.conditional_grid, config, alphas, thetas)
+
+
+@settings(deadline=None, max_examples=150)
+@given(state=raw_states, ell=st.integers(1, 4),
+       mode=st.sampled_from(("ideal", "binary")),
+       hologram_arm=st.sampled_from(("A", "B")),
+       leak=st.none() | st.floats(0.0, 0.3), alphas=angle_sets,
+       thetas=angle_sets)
+def test_kernel_on_raw_states_is_byte_identical_to_the_frozen_kernel(
+        state, ell, mode, hologram_arm, leak, alphas, thetas):
+    # a raw state on either arm, analyzed without a polarizer (leak None)
+    # or with one on the other arm
+    hologram = el.HologramSpec(ell=ell, mode=mode, arm=hologram_arm)
+    polarizer = None if leak is None else PolarizerSpec(
+        alpha=0.0, extinction=leak, arm="B" if hologram_arm == "A" else "A")
+    args = (state, polarizer, hologram, alphas if polarizer else (), thetas)
+    assert kernel_outcome(analyzer_probabilities, *args) == \
+        kernel_outcome(parent_kernel.analyzer_probabilities, *args)
+
+
+@settings(deadline=None, max_examples=60)
+@given(config=eraser_configs.filter(lambda c: c.source.l_max > 0),
+       alphas=angle_sets, thetas=st.none() | angle_sets.map(list),
+       points=st.integers(1, 80))
+def test_theta_scans_equal_the_frozen_scans_float_for_float(config, alphas,
+                                                            thetas, points):
+    got = experiment.theta_scans(config, alphas, thetas, points)
+    want = parent_kernel.theta_scans(config, alphas, thetas, points)
+    assert len(got) == len(want)
+    for series, frozen in zip(got, want):
+        for name in ("settings", "probabilities", "joint_probabilities"):
+            values, expected = getattr(series, name), getattr(frozen, name)
+            assert all(type(v) is float for v in values)
+            assert np.array(values).tobytes() == np.array(expected).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# cached state
+
+
+def test_cached_angle_vectors_and_seed_keys_reject_writes():
+    thetas = np.linspace(0.0, 1.0, 5)
+    conj, scaled = experiment._sector_vectors(thetas.tobytes(), 0.5)
+    cached = [conj, scaled, experiment._full_turn(36),
+              analysis._FRINGE_THETAS, analysis._FRINGE_WEIGHTS,
+              experiment._stream_key(17, 3)]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_mutating_inputs_and_outputs_leaves_later_results_unchanged():
+    config = hybrid_eraser_config(extinction=0.1, hologram_mode="binary", l_max=3)
+    alphas, thetas = np.array([0.3, 1.1]), np.array([0.0, 0.7, math.pi / 4])
+    first = [grid.copy() for grid in conditional_grid(config, alphas, thetas)]
+    for grid in conditional_grid(config, alphas, thetas):
+        grid[...] = 7.0
+    kept = thetas.copy()
+    thetas[...] = 2.0  # the cache holds its own copy of the angles
+    again = conditional_grid(config, alphas, kept)
+    assert [g.tobytes() for g in again] == [g.tobytes() for g in first]
+
+
+def test_counts_on_a_warm_key_cache_equal_one_stream_per_point():
+    joint = [JOINT_CLASSES[i % len(JOINT_CLASSES)] for i in range(20)]
+    for repetition in (0, 1, 0, 1):  # the second pass finds the key cached
+        counts, oracle = counts_and_oracle(31, repetition, joint)
+        assert list(counts) == oracle
+
+
+# ---------------------------------------------------------------------------
 # projection order
 
 
@@ -413,6 +523,12 @@ def test_neighbouring_point_streams_share_no_raw_output(seed, repetition, index)
         set(point_stream(seed, repetition, i).bit_generator.random_raw(64).tolist())
         for i in (index, index + 1))
     assert first.isdisjoint(second)
+
+
+def test_negative_seed_is_rejected_by_name():
+    with pytest.raises(ValueError, match=re.escape(
+            "seed must be a non-negative integer, got -5")):
+        CountingModel(seed=-5)
 
 
 @pytest.mark.parametrize("repetition", [2 ** 64, -1])
