@@ -232,22 +232,18 @@ def parse_config(text: str) -> RunSpec:
     (src,), (pol, holo), (cnt,), (scn,) = (
         _values(singles.get(name), *tables) for name, tables in _SINGLES.items())
 
-    def guard(section_name, build, /, *args, **kwargs):
+    def guard(section_name, build, /, *args, key=None, **kwargs):
         try:
             return build(*args, **kwargs)
         except ValueError as exc:
             section = singles.get(section_name)
-            raise ConfigError(
-                str(exc), section.line if section else None) from exc
+            named = key if key and str(exc).startswith(key + " ") else None
+            line = section.entries[key][1] if named else section and section.line
+            raise ConfigError(str(exc), line, named) from exc
 
     source = guard("source", replace, SourceSpec(), **src)
     delay_m = cnt.pop("extra_path", 0.0)
-    try:  # a bad seed is named by its key and line
-        CountingModel(seed=cnt.get("seed", 0))
-    except ValueError as exc:
-        raise ConfigError(str(exc), singles["counting"].entries["seed"][1],
-                          "seed") from exc
-    counting = guard("counting", replace, CountingModel(), **cnt)
+    counting = guard("counting", replace, CountingModel(), key="seed", **cnt)
     analyzer_a = guard("analyzers", replace, ExperimentConfig.analyzer_a, **pol)
     analyzer_b = guard("analyzers", replace, ExperimentConfig.analyzer_b, **holo)
     elements_a = arms["arm_a.element"]

@@ -239,18 +239,10 @@ class ScanSeries:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
-@lru_cache(maxsize=64, typed=True)
-def _shared(spec_type, **fields):
-    """One instance per distinct immutable spec, for configs to share."""
-    return spec_type(**fields)
-
-
 #: arm A of the canonical eraser, shared by every config built from it
-_CANONICAL_ARM_A = (
-    el.QPlateSpec(q=0.5, arm="A"),
-    el.FiberSpec(arm="A", accepted_ell=0),
-    el.WavePlateSpec(kind="quarter", fast_axis=math.pi / 4, arm="A"),
-)
+_CANONICAL_ARM_A = (el.QPlateSpec(q=0.5, arm="A"),
+                    el.FiberSpec(arm="A", accepted_ell=0),
+                    el.WavePlateSpec(kind="quarter", fast_axis=math.pi / 4, arm="A"))
 
 
 def hybrid_eraser_config(alpha: float = 0.0,
@@ -263,16 +255,14 @@ def hybrid_eraser_config(alpha: float = 0.0,
                          delay_m: float = 0.0) -> ExperimentConfig:
     """The canonical hybrid-entanglement eraser: q=0.5 plate, fiber and
     quarter-wave plate at pi/4 on arm A; polarizer/hologram analyzers."""
-    elements_a = _CANONICAL_ARM_A
-    if delay_m > 0.0:
-        elements_a += (el.DelaySpec(extra_path=delay_m, arm="A"),)
+    delay = (el.DelaySpec(extra_path=delay_m, arm="A"),) if delay_m > 0.0 else ()
     return ExperimentConfig(
-        source=_shared(SourceSpec, l_max=l_max, spectrum=spectrum,
-                       sigma_ell=sigma_ell),
-        elements_a=elements_a,
+        source=SourceSpec(kind="spdc", l_max=l_max, spectrum=spectrum,
+                          sigma_ell=sigma_ell),
+        elements_a=_CANONICAL_ARM_A + delay,
         elements_b=(),
         analyzer_a=el.PolarizerSpec(alpha=alpha, extinction=extinction, arm="A"),
-        analyzer_b=_shared(el.HologramSpec, ell=1, mode=hologram_mode, arm="B"),
+        analyzer_b=el.HologramSpec(ell=1, mode=hologram_mode, arm="B"),
         counting=counting or CountingModel(),
     )
 
@@ -321,26 +311,13 @@ def run_pipeline(config: ExperimentConfig):
     return _pipeline(config.source, config.elements_a, config.elements_b)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-@lru_cache(maxsize=32)
-def _sector_vectors(angles: bytes, scale: float) -> tuple:
-    """Read-only conjugated and ``scale``-weighted sector rows at ``angles``."""
-    sector = el.sector_coefficients(np.frombuffer(angles)).reshape(-1, 2)
-    return _read_only(sector.conj()), _read_only(scale * sector)
-
-
 def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas):
     """Joint and conditional analyzer probabilities over an (alpha, theta) grid.
 
     Contracts the dense ``psi[pol, ell, pol_h, ell_h]`` (hologram arm last)
-    with each polarizer transmission vector, renormalizes the two ``+-ell``
-    columns, then contracts them with each (cached) conjugated sector vector.
-    Amplitudes below ``PRUNE_TOL`` are dropped as the sparse operators drop
-    them, so dark fringes are exactly zero.
+    with each polarizer transmission vector, renormalizes, then with each
+    conjugated sector vector.  Amplitudes below ``PRUNE_TOL`` are dropped
+    as the sparse operators drop them, so dark fringes are exactly zero.
     Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
     ``polarizer=None`` analyzes the hologram arm alone, in one row.
     """
@@ -367,12 +344,9 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
         # 1/sqrt(p_pol), and 0 where an amplitude was pruned
         renorm = (size[..., columns] > 0.0) / np.sqrt(p_pol)[:, None, None, None, None]
     scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0
-    angles = np.asarray(thetas, dtype=float).tobytes()
-    # small angle sets recur (scans, fringe reads); large ones are not kept
-    vectors = _sector_vectors if len(angles) <= 8192 else _sector_vectors.__wrapped__
-    conj, scaled = vectors(angles, scale)
-    overlap = np.einsum("ty,apxqy->atpxq", conj, passed[..., columns] * renorm)
-    size = np.abs(scaled[:, None, None, None, :] * overlap[..., None])
+    sector = el.sector_coefficients(thetas).reshape(-1, 2)
+    overlap = np.einsum("ty,apxqy->atpxq", sector.conj(), passed[..., columns] * renorm)
+    size = np.abs(scale * sector[:, None, None, None, :] * overlap[..., None])
     np.putmask(size, size < PRUNE_TOL, 0.0)
     p_holo = (size ** 2).sum(axis=(2, 3, 4, 5))
     return p_pol[:, None] * p_holo, checked_probability(p_holo)
@@ -397,17 +371,12 @@ def conditional_grid(config: ExperimentConfig, alphas, thetas):
                                   alphas, thetas)
 
 
-@lru_cache(maxsize=8)
-def _full_turn(points: int) -> np.ndarray:
-    return _read_only(np.linspace(0.0, TWO_PI, points, endpoint=False))
-
-
 def theta_scans(config: ExperimentConfig, alphas, thetas=None,
                 points: int = 72) -> list:
     """Exact hologram-rotation scans, one per polarizer angle, from one grid;
     without ``thetas``, ``points`` angles over a full turn."""
     if thetas is None:
-        thetas = _full_turn(points)
+        thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
     joint, cond = conditional_grid(config, alphas, thetas)
     settings = tuple(np.asarray(thetas, dtype=float).tolist())
     return [ScanSeries(scan_variable="theta", settings=settings,
@@ -461,7 +430,9 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 
 @lru_cache(maxsize=64, typed=True)
 def _seed_key(seed: int) -> np.ndarray:
-    return _read_only(np.random.SeedSequence(seed).generate_state(2, np.uint64))
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
 
 
 def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:

@@ -2,8 +2,9 @@
 overhead was cut, kept as a byte-for-byte oracle.
 
 ``analyzer_probabilities`` and ``theta_scans`` are copied verbatim, and so
-are the element helpers they called whose bodies have since changed
-(``transmission_state`` and ``sector_coefficients``) and ``binary_coupling``.
+are the element helpers they called: ``transmission_state``, whose body has
+since changed, and ``sector_coefficients`` and ``binary_coupling``, copied
+only to freeze them.
 Nothing here may be edited to follow the package: the properties in
 ``test_experiment.py`` compare the package's bytes against these.
 """

@@ -95,7 +95,7 @@ def test_curve_op_hashes_each_seed_once(workloads, monkeypatch):
 
 def test_a_config_holds_at_most_800_bytes():
     # the benchmark keeps every op's config, so their size shows in its
-    # peak RSS; configs built alike share their element specs
+    # peak RSS; configs built alike share their arm-A element specs
     rng = np.random.default_rng(5)
 
     def build():

@@ -319,6 +319,9 @@ CONFIG_ERRORS = [
     ("[counting]\ngate_s = 1e-8\nseed = -5\n",
      "seed must be a non-negative integer, got -5 (line 3, key 'seed')",
      3, "seed"),
+    # ... but another key's error is not put on the seed's line
+    ("[counting]\nseed = -5\ngate_s = 0\n",
+     "gate must be positive (line 1)", 1, None),
     ("[scan]\ntheta_stop_rad = 1e400\n",
      "expected finite float value, got '1e400' (line 2, key 'theta_stop_rad')",
      2, "theta_stop_rad"),
