@@ -34,11 +34,14 @@ from oam_eraser.experiment import (
 from oam_eraser.hilbert import (
     ARMS,
     L_CAP,
+    NULL_TOL,
     POL_H,
     POL_V,
     OamOverflowError,
     basis_ket,
     joint_ket,
+    local_ket,
+    project,
     tensor,
 )
 
@@ -95,6 +98,47 @@ def test_qplate_overflows_exactly_past_the_cap(pol, ell, q):
     else:
         out, _ = apply_element(spec, state)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# projection against a dense contraction
+
+small_ells = st.integers(-3, 3)
+small_states = st.dictionaries(st.tuples(pols, small_ells, pols, small_ells),
+                               amplitudes, min_size=1, max_size=12).map(joint_ket)
+targets = st.dictionaries(st.tuples(pols, small_ells), amplitudes,
+                          min_size=1, max_size=6).map(local_ket)
+
+
+def dense(amplitudes, shape):
+    """Dense array of a sparse amplitude map; OAM indices are offset by 3."""
+    out = np.zeros(shape, dtype=complex)
+    for key, amp in amplitudes.items():
+        out[tuple(k + 3 if i % 2 else k for i, k in enumerate(key))] = amp
+    return out
+
+
+@no_deadline
+@given(small_states, targets, arms)
+def test_project_matches_a_dense_contraction(state, target, arm):
+    # psi and the expected post-state carry the projected arm first
+    psi = dense(state.amplitudes, (2, 7, 2, 7))
+    if arm == "B":
+        psi = psi.transpose(2, 3, 0, 1)
+    t = dense(target.amplitudes, (2, 7))
+    rest = np.einsum("pl,plqm->qm", t.conj(), psi)
+    prob = float(np.sum(np.abs(rest) ** 2))
+    post, p = project(state, arm, target)
+    if post is None:
+        assert p == 0.0 and prob < 2 * NULL_TOL
+        return
+    assert p == pytest.approx(prob, abs=1e-12)
+    assert post.norm_tracked == pytest.approx(prob, abs=1e-12)
+    want = np.multiply.outer(t, rest)
+    if arm == "B":
+        want = want.transpose(2, 3, 0, 1)
+    got = dense(post.amplitudes, (2, 7, 2, 7)) * math.sqrt(p)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
