@@ -3,6 +3,8 @@
 ``bench/workloads.py`` is loaded as it is, so a change to what the package
 returns that the benchmark cannot read (an event table it cannot iterate,
 a count that is not an ``int``) fails here, not only in a benchmark run.
+So does a function that ``bench/spans.py`` times but the package no longer
+has, which a traced run would only list as absent.
 """
 
 import importlib.util
@@ -17,6 +19,7 @@ import pytest
 import oam_eraser
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+SPANS = WORKLOADS.parent / "spans.py"
 
 
 @pytest.fixture
@@ -118,3 +121,14 @@ def test_a_config_holds_at_most_800_bytes():
     finally:
         tracemalloc.stop()
     assert held / len(kept) <= 800
+
+
+def test_every_span_target_resolves():
+    # read the target table only: install() would rebind package functions
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{func}" for module, func, *_ in spans.TARGETS
+               if not callable(getattr(importlib.import_module(
+                   f"oam_eraser.{module}"), func, None))]
+    assert len(spans.TARGETS) > 20 and missing == []
