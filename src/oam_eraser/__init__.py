@@ -33,9 +33,6 @@ from .elements import (
     QPlateSpec,
     WavePlateSpec,
     binary_mask_overlap,
-    fiber_postselect,
-    hologram_apply,
-    polarizer_apply,
     qplate_operator,
     sector_projector,
     waveplate_jones,

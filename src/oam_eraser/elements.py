@@ -246,23 +246,9 @@ def polarizer_operator(spec: PolarizerSpec) -> LocalOperator:
     return LocalOperator(((pol, None, 0),))
 
 
-def polarizer_apply(spec: PolarizerSpec, state: JointKet):
-    """Project the arm's polarization through the polarizer.
-
-    Returns ``(state, probability)``; total extinction of the state gives
-    the null outcome ``(None, 0.0)``.
-    """
-    return postselect_local(polarizer_operator(spec), spec.arm, state)
-
-
 def fiber_operator(spec: FiberSpec) -> LocalOperator:
     """OAM mask: passes ``accepted_ell`` in either polarization."""
     return LocalOperator(((POL_IDENTITY, spec.accepted_ell, 0),))
-
-
-def fiber_postselect(spec: FiberSpec, state: JointKet):
-    """Keep only amplitudes whose OAM on the fiber's arm is the accepted one."""
-    return postselect_local(fiber_operator(spec), spec.arm, state)
 
 
 def sector_coefficients(theta) -> np.ndarray:
@@ -278,8 +264,7 @@ def sector_coefficients(theta) -> np.ndarray:
     return np.stack((np.full_like(minus, root), minus), axis=-1)
 
 
-def sector_projector(spec: HologramSpec,
-                     theta: float | None = None) -> LocalOperator:
+def sector_projector(spec: HologramSpec) -> LocalOperator:
     """Rank-1 projector (per polarization) onto the sector state.
 
     One term per pair of OAM indices ``a, b`` in ``{ell, -ell}``, mapping
@@ -287,8 +272,7 @@ def sector_projector(spec: HologramSpec,
     the projector by the matched first-order mask coupling, so
     probabilities scale by its square (about 0.405).
     """
-    angle = spec.theta if theta is None else theta
-    coeffs = dict(zip((spec.ell, -spec.ell), sector_coefficients(angle).tolist()))
+    coeffs = dict(zip((spec.ell, -spec.ell), sector_coefficients(spec.theta).tolist()))
     scale = binary_coupling(spec.ell) if spec.mode == "binary" else 1.0
     terms = []
     for a, c_a in coeffs.items():
@@ -296,11 +280,6 @@ def sector_projector(spec: HologramSpec,
             w = scale * c_a * c_b.conjugate()
             terms.append((((w, 0.0j), (0.0j, w)), b, a - b))
     return LocalOperator(tuple(terms))
-
-
-def hologram_apply(spec: HologramSpec, state: JointKet,
-                   theta: float | None = None):
-    return postselect_local(sector_projector(spec, theta), spec.arm, state)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +337,11 @@ def apply_element(spec, state: JointKet):
     if isinstance(spec, WavePlateSpec):
         return apply_local(waveplate_operator(spec), spec.arm, state), 1.0
     if isinstance(spec, PolarizerSpec):
-        return polarizer_apply(spec, state)
+        return postselect_local(polarizer_operator(spec), spec.arm, state)
     if isinstance(spec, FiberSpec):
-        return fiber_postselect(spec, state)
+        return postselect_local(fiber_operator(spec), spec.arm, state)
     if isinstance(spec, HologramSpec):
-        return hologram_apply(spec, state)
+        return postselect_local(sector_projector(spec), spec.arm, state)
     if isinstance(spec, DelaySpec):
         return state, 1.0
     raise TypeError(f"not an element spec: {spec!r}")

@@ -38,7 +38,6 @@ from .hilbert import (
     POL_V,
     PRUNE_TOL,
     JointKet,
-    apply_local,
     checked_probability,
     joint_ket,
     postselect_local,
@@ -391,11 +390,6 @@ def theta_scan(config: ExperimentConfig, thetas=None,
     return theta_scans(config, [config.analyzer_a.alpha], thetas, points)[0]
 
 
-def _projection_probability(op, arm: str, state: JointKet) -> float:
-    after = apply_local(op, arm, state)
-    return sum(abs(a) ** 2 for a in after.amplitudes.values())
-
-
 def causal_order_probability(config: ExperimentConfig, alpha: float,
                              theta: float, order: str = "A_first") -> float:
     """Conditional coincidence probability with projections in a fixed order.
@@ -408,19 +402,18 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
         raise ValueError(f"unknown projection order {order!r}")
     state, _ = run_pipeline(config)
     pol_op = el.polarizer_operator(replace(config.analyzer_a, alpha=alpha))
-    holo_op = el.sector_projector(config.analyzer_b, theta)
+    holo_op = el.sector_projector(replace(config.analyzer_b, theta=theta))
     arm_a, arm_b = config.analyzer_a.arm, config.analyzer_b.arm
-    p_a = _projection_probability(pol_op, arm_a, state)
-    if p_a < NULL_TOL:
+    state_a, p_a = postselect_local(pol_op, arm_a, state)
+    if state_a is None:
         raise NullOutcomeError("polarizer[analyzer_a]")
     if order == "A_first":
-        state_a, _ = postselect_local(pol_op, arm_a, state)
-        return checked_probability(
-            _projection_probability(holo_op, arm_b, state_a))
+        _, p_b_given_a = postselect_local(holo_op, arm_b, state_a)
+        return checked_probability(p_b_given_a)
     state_b, p_b = postselect_local(holo_op, arm_b, state)
     if state_b is None:
         return 0.0
-    p_a_given_b = _projection_probability(pol_op, arm_a, state_b)
+    _, p_a_given_b = postselect_local(pol_op, arm_a, state_b)
     return checked_probability(p_b * p_a_given_b / p_a)
 
 

@@ -264,30 +264,15 @@ def project(state: JointKet, arm: str, target: LocalKet):
     """
     if abs(target.norm() - 1.0) > _NORM_TOL:
         raise ValueError("unnormalized projection target")
-    if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r}")
-    residual: dict = {}
-    for key, amp in state.amplitudes.items():
-        if arm == "A":
-            local_lbl, rest = (key[0], key[1]), (key[2], key[3])
-        else:
-            local_lbl, rest = (key[2], key[3]), (key[0], key[1])
-        t = target.amplitudes.get(local_lbl)
-        if t is not None:
-            residual[rest] = residual.get(rest, 0.0 + 0.0j) + t.conjugate() * amp
-    p = sum(abs(a) ** 2 for a in residual.values())
-    if p < NULL_TOL:
-        return None, 0.0
-    scale = 1.0 / math.sqrt(p)
-    amps: dict = {}
-    for local_lbl, t in target.amplitudes.items():
-        for rest, r in residual.items():
-            if arm == "A":
-                key = (local_lbl[0], local_lbl[1], rest[0], rest[1])
-            else:
-                key = (rest[0], rest[1], local_lbl[0], local_lbl[1])
-            amps[key] = t * r * scale
-    return JointKet(_prune(amps), checked_probability(state.norm_tracked * p)), p
+    # the rank-1 projector |target><target|: one term per pair of OAM
+    # indices, from |p, b> to |q, a> with weight t(q, a) t(p, b)*
+    t = target.amplitudes
+    ells = sorted({ell for _, ell in t})
+    terms = tuple(
+        (tuple(tuple(t.get((q, a), 0j) * t.get((p, b), 0j).conjugate()
+                     for p in (POL_H, POL_V)) for q in (POL_H, POL_V)), b, a - b)
+        for a in ells for b in ells)
+    return postselect_local(LocalOperator(terms), arm, state)
 
 
 # ---------------------------------------------------------------------------

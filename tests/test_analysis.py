@@ -24,7 +24,7 @@ from oam_eraser.analysis import (
     visibility,
     visibility_curve,
 )
-from oam_eraser.elements import HologramSpec, hologram_apply
+from oam_eraser.elements import HologramSpec, apply_element
 from oam_eraser.experiment import (ScanSeries, analyzer_probabilities,
                                    hybrid_eraser_config, run_pipeline)
 from oam_eraser.hilbert import NULL_TOL, POL_H, POL_V, joint_ket, reduced_density
@@ -394,7 +394,8 @@ def test_fringe_visibility_matches_sparse_projection(arm):
             keys = [(POL_H, e, m, 0) if arm == "A" else (m, 0, POL_H, e)
                     for e, m in zip(paths, markers)]
             state = joint_ket(dict(zip(keys, raw)))
-            probs = tuple(hologram_apply(spec, state, float(t))[1] for t in thetas)
+            probs = tuple(apply_element(replace(spec, theta=float(t)), state)[1]
+                          for t in thetas)
             series = ScanSeries("theta", tuple(float(t) for t in thetas), probs)
             want = visibility(with_fit(series, on="probabilities"))
             got = oam_fringe_visibility(state, ell, arm=arm)

@@ -14,11 +14,9 @@ from oam_eraser.elements import (
     PolarizerSpec,
     QPlateSpec,
     WavePlateSpec,
+    apply_element,
     binary_coupling,
     binary_mask_overlap,
-    fiber_postselect,
-    hologram_apply,
-    polarizer_apply,
     qplate_operator,
     sector_coefficients,
     sector_projector,
@@ -159,21 +157,21 @@ def test_waveplate_validation():
 
 def test_ideal_polarizer_passes_aligned_light():
     state = tensor(polarization_ket("H"), basis_ket(POL_H, 0))
-    out, prob = polarizer_apply(PolarizerSpec(alpha=0.0), state)
+    out, prob = apply_element(PolarizerSpec(alpha=0.0), state)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_polarizer_blocks_crossed_light():
     state = tensor(polarization_ket("V"), basis_ket(POL_H, 0))
-    out, prob = polarizer_apply(PolarizerSpec(alpha=0.0), state)
+    out, prob = apply_element(PolarizerSpec(alpha=0.0), state)
     assert out is None
     assert prob == 0.0
 
 
 def test_polarizer_at_45_degrees_halves_horizontal():
     state = tensor(polarization_ket("H"), basis_ket(POL_H, 0))
-    out, prob = polarizer_apply(PolarizerSpec(alpha=math.pi / 4), state)
+    out, prob = apply_element(PolarizerSpec(alpha=math.pi / 4), state)
     assert prob == pytest.approx(0.5, abs=1e-12)
     expected = tensor(polarization_ket("D"), basis_ket(POL_H, 0))
     assert abs(state_overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
@@ -185,10 +183,10 @@ def test_ideal_polarizer_is_idempotent():
         alpha = float(rng.uniform(0, math.pi))
         spec = PolarizerSpec(alpha=alpha)
         state = tensor(polarization_ket("D", 1), polarization_ket("H", -1))
-        once, p1 = polarizer_apply(spec, state)
+        once, p1 = apply_element(spec, state)
         if once is None:
             continue
-        twice, p2 = polarizer_apply(spec, once)
+        twice, p2 = apply_element(spec, once)
         assert p2 == pytest.approx(1.0, abs=1e-12)
         assert abs(state_overlap(once, twice)) == pytest.approx(1.0, abs=1e-12)
 
@@ -209,7 +207,7 @@ def test_fiber_reduces_spread_state_to_bell_pair():
     for ell in (-1, 0, 1):
         amps[(POL_H, ell, POL_H, -ell)] = 1 / math.sqrt(3)
     state = apply_local(qplate_operator(QPlateSpec(q=0.5)), "A", joint_ket(amps))
-    out, prob = fiber_postselect(FiberSpec(arm="A", accepted_ell=0), state)
+    out, prob = apply_element(FiberSpec(arm="A", accepted_ell=0), state)
     assert prob == pytest.approx(1 / 3, abs=1e-12)
     # post-selected state pairs L_A with ell=+1 and R_A with ell=-1
     expected = joint_ket({
@@ -223,14 +221,14 @@ def test_fiber_reduces_spread_state_to_bell_pair():
 
 def test_fiber_passes_matching_state_unchanged():
     state = tensor(polarization_ket("D", 0), polarization_ket("H", 2))
-    out, prob = fiber_postselect(FiberSpec(arm="A", accepted_ell=0), state)
+    out, prob = apply_element(FiberSpec(arm="A", accepted_ell=0), state)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fiber_with_no_matching_component_is_null():
     state = tensor(polarization_ket("H", 3), polarization_ket("H", 0))
-    out, prob = fiber_postselect(FiberSpec(arm="A", accepted_ell=0), state)
+    out, prob = apply_element(FiberSpec(arm="A", accepted_ell=0), state)
     assert out is None and prob == 0.0
 
 
@@ -240,7 +238,7 @@ def test_fiber_with_no_matching_component_is_null():
 
 def test_sector_projection_of_single_mode_is_half():
     state = tensor(polarization_ket("H", 0), basis_ket(POL_H, 1))
-    _, prob = hologram_apply(HologramSpec(ell=1, arm="B"), state, theta=0.0)
+    _, prob = apply_element(HologramSpec(ell=1, theta=0.0, arm="B"), state)
     assert prob == pytest.approx(0.5, abs=1e-12)
 
 
@@ -248,7 +246,7 @@ def test_sector_state_projects_onto_itself():
     theta = 0.7
     coeffs = sector_coefficients(theta)
     state = joint_ket({(POL_H, 0, POL_H, ell): c for ell, c in zip((1, -1), coeffs)})
-    _, prob = hologram_apply(HologramSpec(ell=1, arm="B"), state, theta=theta)
+    _, prob = apply_element(HologramSpec(ell=1, theta=theta, arm="B"), state)
     assert prob == pytest.approx(1.0, abs=1e-12)
 
 
@@ -259,9 +257,9 @@ def test_binary_mode_scales_by_first_order_coupling():
         z2 = complex(*rng.normal(size=2))
         state = joint_ket({(POL_H, 0, POL_H, 1): z1, (POL_H, 0, POL_H, -1): z2})
         theta = float(rng.uniform(0, 2 * math.pi))
-        _, p_ideal = hologram_apply(HologramSpec(ell=1, arm="B"), state, theta)
-        _, p_binary = hologram_apply(HologramSpec(ell=1, mode="binary", arm="B"),
-                                     state, theta)
+        _, p_ideal = apply_element(HologramSpec(ell=1, theta=theta, arm="B"), state)
+        _, p_binary = apply_element(
+            HologramSpec(ell=1, theta=theta, mode="binary", arm="B"), state)
         assert p_binary == pytest.approx(p_ideal * (2 / math.pi) ** 2, abs=1e-6)
 
 

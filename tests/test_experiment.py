@@ -180,9 +180,8 @@ def test_marginal_consistency(canonical_config):
         j1, _ = coincidence_probability(canonical_config, alpha, theta)
         j2, _ = coincidence_probability(canonical_config, alpha, theta + math.pi / 2)
         pol = replace(canonical_config.analyzer_a, alpha=alpha)
-        from oam_eraser.elements import polarizer_apply
         state, _ = run_pipeline(canonical_config)
-        _, p_a = polarizer_apply(pol, state)
+        _, p_a = el.apply_element(pol, state)
         assert j1 + j2 == pytest.approx(p_a, abs=1e-12)
 
 
@@ -198,17 +197,18 @@ def test_theta_scan_series_shape(canonical_config):
 
 
 def _sparse_grid(config, alphas, thetas):
-    """Independent route: polarizer_apply, then hologram_apply, point by point."""
+    """Independent route: the sparse polarizer, then hologram, point by point."""
     state, _ = run_pipeline(config)
     joint = np.empty((len(alphas), len(thetas)))
     cond = np.empty_like(joint)
     for i, alpha in enumerate(alphas):
         pol = replace(config.analyzer_a, alpha=float(alpha))
-        state_a, p_a = el.polarizer_apply(pol, state)
+        state_a, p_a = el.apply_element(pol, state)
         if state_a is None:
             raise NullOutcomeError("polarizer[analyzer_a]")
         for j, theta in enumerate(thetas):
-            _, p_b = el.hologram_apply(config.analyzer_b, state_a, float(theta))
+            holo = replace(config.analyzer_b, theta=float(theta))
+            _, p_b = el.apply_element(holo, state_a)
             joint[i, j], cond[i, j] = p_a * p_b, p_b
     return joint, cond
 

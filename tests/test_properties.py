@@ -19,7 +19,6 @@ from oam_eraser.elements import (
     QPlateSpec,
     WavePlateSpec,
     apply_element,
-    polarizer_apply,
 )
 from oam_eraser import experiment
 from oam_eraser.experiment import (
@@ -78,8 +77,8 @@ def test_waveplate_preserves_norm(state, kind, fast_axis, arm):
 @no_deadline
 @given(states, st.floats(0.0, 2 * math.pi), st.floats(0.0, 1.0), arms)
 def test_orthogonal_polarizers_are_born_complete(state, alpha, extinction, arm):
-    _, p = polarizer_apply(PolarizerSpec(alpha, extinction, arm), state)
-    _, p_perp = polarizer_apply(
+    _, p = apply_element(PolarizerSpec(alpha, extinction, arm), state)
+    _, p_perp = apply_element(
         PolarizerSpec(alpha + math.pi / 2, extinction, arm), state)
     assert p + p_perp == pytest.approx(1.0, abs=1e-12)
 
