@@ -11,11 +11,9 @@ import os
 
 import numpy as np
 
-from oam_eraser.analysis import fit_sinusoid, theoretical_visibility, visibility
+from oam_eraser.analysis import fit_sinusoid, fit_visibility, theoretical_visibility
 from oam_eraser.experiment import hybrid_eraser_config, theta_scan
 from oam_eraser.output import line_plot_svg, write_outputs
-
-from dataclasses import replace
 
 OUT = os.path.join(os.path.dirname(__file__), "demo_output")
 
@@ -34,8 +32,7 @@ print("alpha/pi   fitted V   |sin 2a|")
 for alpha in np.linspace(0.0, math.pi / 4, 9):
     config = hybrid_eraser_config(alpha=float(alpha))
     series = theta_scan(config)
-    fit = fit_sinusoid(series)
-    vis = visibility(replace(series, fit=fit))
+    vis = fit_visibility(fit_sinusoid(series))
     print(f"{alpha / math.pi:8.3f}  {vis:9.6f}  {theoretical_visibility(alpha):9.6f}")
 
 erased = theta_scan(hybrid_eraser_config(alpha=-math.pi / 4))

@@ -108,7 +108,8 @@ def fit_sinusoid(series: ScanSeries, on: str = "auto") -> FringeFit:
                      residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
-def _fit_visibility(fit: FringeFit) -> float:
+def fit_visibility(fit: FringeFit) -> float:
+    """Contrast ``amplitude/offset`` of a fitted or exact fringe, in [0, 1]."""
     if fit.offset <= 0.0:
         raise ValueError("no signal")
     # clamped, not checked: a sinusoid fit to noisy counts can
@@ -117,14 +118,12 @@ def _fit_visibility(fit: FringeFit) -> float:
 
 
 def visibility(series: ScanSeries) -> float:
-    """Fringe contrast of a scan, in [0, 1].
+    """Fringe contrast of a scan, in [0, 1], from its raw min/max.
 
-    Uses the fitted extrema (``amplitude/offset``) when the series carries
-    a fit, raw min/max otherwise; raw mode requires the settings to span a
-    full fringe period (pi for the frequency-2 fringes here).
+    The settings must span a full fringe period (pi for the frequency-2
+    fringes here).  The contrast of a fitted fringe (``amplitude/offset``)
+    is :func:`fit_visibility`.
     """
-    if series.fit is not None:
-        return _fit_visibility(series.fit)
     values = np.asarray(series.probabilities, dtype=float)
     span = max(series.settings) - min(series.settings)
     if len(values) < 2 or span < math.pi * (1.0 - 1e-9):
@@ -165,7 +164,7 @@ class VisibilityPoint:
 
 def visibility_points(alphas, series) -> list:
     """Fitted visibility (of counts if present) of each scan at its angle."""
-    return [VisibilityPoint(float(alpha), _fit_visibility(fit), fit)
+    return [VisibilityPoint(float(alpha), fit_visibility(fit), fit)
             for alpha, fit in zip(alphas, map(fit_sinusoid, series))]
 
 
@@ -173,7 +172,7 @@ def visibility_curve(config: ExperimentConfig, alphas, theta_points=None):
     """Exact scan visibility per polarizer angle; ``theta_points`` has no effect."""
     state, _ = run_pipeline(config)
     fits = exact_fringes(state, config.analyzer_a, config.analyzer_b, alphas)
-    return [VisibilityPoint(float(alpha), _fit_visibility(fit), fit)
+    return [VisibilityPoint(float(alpha), fit_visibility(fit), fit)
             for alpha, fit in zip(alphas, fits)]
 
 
@@ -246,7 +245,7 @@ def calibrate_extinction(config_builder, target_visibility: float,
 def oam_fringe_visibility(state: JointKet, ell: int, arm: str = "B") -> float:
     """Visibility of the sector scan of a raw state on one arm (no polarizer)."""
     fit, = exact_fringes(state, None, el.HologramSpec(ell=ell, arm=arm), ())
-    return _fit_visibility(fit)
+    return fit_visibility(fit)
 
 
 def distinguishability(state: JointKet, ell: int, path_arm: str = "B") -> float:
@@ -298,8 +297,7 @@ def azimuthal_grid(grid_n: int) -> np.ndarray:
 
 
 def render_azimuthal_pattern(ell: int, intermodal_phase: float, grid_n: int,
-                             weights=(1.0, 1.0),
-                             normalized: bool = False) -> np.ndarray:
+                             weights=(1.0, 1.0)) -> np.ndarray:
     """Azimuthal intensity of ``w+ |ell> + w- e^{i phase} |-ell>``.
 
     For equal weights this is ``1 + cos(2*ell*phi - phase)`` with ``2|ell|``
@@ -315,10 +313,7 @@ def render_azimuthal_pattern(ell: int, intermodal_phase: float, grid_n: int,
         raise ValueError("all-zero mode weights")
     field = (w_plus * np.exp(1j * ell * phi)
              + w_minus * np.exp(1j * (-ell * phi + intermodal_phase)))
-    intensity = np.abs(field) ** 2 / total
-    if normalized:
-        intensity = intensity / intensity.max()
-    return intensity
+    return np.abs(field) ** 2 / total
 
 
 def count_azimuthal_lobes(intensity: np.ndarray) -> int:

@@ -46,7 +46,7 @@ def _scan_theta(args) -> int:
     if args.counts:
         series = experiment.simulate_counts(config, series)
     fit = analysis.fit_sinusoid(series)
-    vis = analysis.visibility(replace(series, fit=fit))
+    vis = analysis.fit_visibility(fit)
     files = {
         "scan_theta.csv": output.scan_csv(series),
         "scan_theta_summary.csv": output.summary_csv(
@@ -138,7 +138,7 @@ def _render_pattern(args) -> int:
 def _fit(args) -> int:
     series = output.read_scan_csv(args.csv)
     fit = analysis.fit_sinusoid(series, on=args.column)
-    vis = analysis.visibility(replace(series, fit=fit))
+    vis = analysis.fit_visibility(fit)
     output.write_outputs(args.out_dir, {
         "fit_summary.csv": output.summary_csv(output.fit_summary_rows(vis, fit)),
     })

@@ -225,7 +225,6 @@ class ScanSeries:
     probabilities: tuple  # conditional detection probabilities
     joint_probabilities: tuple | None = None
     counts: tuple | None = None
-    fit: object | None = None
 
     def __post_init__(self):
         n = len(self.settings)

@@ -87,15 +87,13 @@ class LocalKet:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
 
-def local_ket(amplitudes: Mapping, normalize: bool = True) -> LocalKet:
+def local_ket(amplitudes: Mapping) -> LocalKet:
     amps = {k: complex(v) for k, v in amplitudes.items() if abs(v) > 0.0}
     _check_finite(amps)
     if not amps:
         raise ValueError("empty local state")
-    if normalize:
-        n = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        amps = {k: a / n for k, a in amps.items()}
-    return LocalKet(amps)
+    n = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return LocalKet({k: a / n for k, a in amps.items()})
 
 
 def basis_ket(pol: int, ell: int = 0) -> LocalKet:
@@ -290,20 +288,18 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def density_matrix(basis: Sequence, matrix: np.ndarray,
-                   validate: bool = True) -> DensityMatrix:
+def density_matrix(basis: Sequence, matrix: np.ndarray) -> DensityMatrix:
     mat = np.asarray(matrix, dtype=complex)
     if mat.shape != (len(basis), len(basis)):
         raise ValueError("basis/matrix dimension mismatch")
-    if validate:
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("non-finite density matrix")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-12:
-            raise ValueError("density matrix trace is not 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
-            raise ValueError("density matrix is not positive semidefinite")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("non-finite density matrix")
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(mat).real - 1.0) > 1e-12:
+        raise ValueError("density matrix trace is not 1")
+    if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
+        raise ValueError("density matrix is not positive semidefinite")
     return DensityMatrix(tuple(basis), mat)
 
 
@@ -360,13 +356,13 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(eigs)))
 
 
-def format_state(state: JointKet, digits: int = 4) -> str:
+def format_state(state: JointKet) -> str:
     """Readable ket expansion, one term per line, largest first."""
     lines = []
     items = sorted(state.amplitudes.items(), key=lambda kv: -abs(kv[1]))
     for (pa, ea, pb, eb), amp in items:
         mag, ph = abs(amp), cmath.phase(amp)
         lines.append(
-            f"  {mag:.{digits}f} exp({ph:+.{digits}f}i) "
+            f"  {mag:.4f} exp({ph:+.4f}i) "
             f"|{POL_NAMES[pa]},{ea:+d}>_A |{POL_NAMES[pb]},{eb:+d}>_B")
     return "\n".join(lines)

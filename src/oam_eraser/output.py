@@ -30,26 +30,27 @@ def _write_text(path, text: str) -> None:
 # CSV
 
 
+def _csv(header: str, rows) -> str:
+    """A header line and one line per row, each ended by LF."""
+    return "\n".join([header, *rows]) + "\n"
+
+
 def scan_csv(series: ScanSeries) -> str:
-    lines = ["setting_rad,p_joint,p_conditional,counts"]
     joint = series.joint_probabilities or (None,) * len(series.settings)
     counts = series.counts or (None,) * len(series.settings)
-    for setting, j, p, c in zip(series.settings, joint,
-                                series.probabilities, counts):
-        row = [fmt(setting),
-               fmt(j) if j is not None else "",
-               fmt(p),
-               str(c) if c is not None else ""]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _csv("setting_rad,p_joint,p_conditional,counts", (
+        ",".join([fmt(setting),
+                  fmt(j) if j is not None else "",
+                  fmt(p),
+                  str(c) if c is not None else ""])
+        for setting, j, p, c in zip(series.settings, joint,
+                                    series.probabilities, counts)))
 
 
 def summary_csv(rows) -> str:
-    lines = ["quantity,value"]
-    for key, value in rows:
-        text = fmt(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key},{text}")
-    return "\n".join(lines) + "\n"
+    return _csv("quantity,value", (
+        f"{key},{fmt(value) if isinstance(value, float) else str(value)}"
+        for key, value in rows))
 
 
 def fit_summary_rows(vis: float, fit: FringeFit) -> list:
@@ -63,25 +64,20 @@ def fit_summary_rows(vis: float, fit: FringeFit) -> list:
 
 
 def alpha_csv(points) -> str:
-    lines = ["alpha_rad,visibility,fit_offset,fit_amplitude,"
-             "fit_phase_rad,fit_residual_rms"]
-    for pt in points:
-        lines.append(",".join([
-            fmt(pt.alpha), fmt(pt.visibility), fmt(pt.fit.offset),
-            fmt(pt.fit.amplitude), fmt(pt.fit.phase), fmt(pt.fit.residual_rms),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv("alpha_rad,visibility,fit_offset,fit_amplitude,"
+                "fit_phase_rad,fit_residual_rms", (
+        ",".join(map(fmt, (pt.alpha, pt.visibility, pt.fit.offset,
+                           pt.fit.amplitude, pt.fit.phase, pt.fit.residual_rms)))
+        for pt in points))
 
 
 def grid_csv(alphas, thetas, joint, conditional) -> str:
-    lines = ["alpha_rad,theta_rad,p_joint,p_conditional"]
-    for i, alpha in enumerate(alphas):
-        for j, theta in enumerate(thetas):
-            lines.append(",".join([
-                fmt(float(alpha)), fmt(float(theta)),
-                fmt(float(joint[i][j])), fmt(float(conditional[i][j])),
-            ]))
-    return "\n".join(lines) + "\n"
+    return _csv("alpha_rad,theta_rad,p_joint,p_conditional", (
+        ",".join([
+            fmt(float(alpha)), fmt(float(theta)),
+            fmt(float(joint[i][j])), fmt(float(conditional[i][j])),
+        ])
+        for i, alpha in enumerate(alphas) for j, theta in enumerate(thetas)))
 
 
 def events_csv(events: EventTable) -> str:
@@ -96,10 +92,9 @@ def events_csv(events: EventTable) -> str:
 
 
 def pattern_csv(phis, intensity) -> str:
-    lines = ["phi_rad,intensity"]
-    for phi, val in zip(phis, intensity):
-        lines.append(f"{fmt(float(phi))},{fmt(float(val))}")
-    return "\n".join(lines) + "\n"
+    return _csv("phi_rad,intensity", (
+        f"{fmt(float(phi))},{fmt(float(val))}"
+        for phi, val in zip(phis, intensity)))
 
 
 def read_scan_csv(path) -> ScanSeries:
@@ -132,8 +127,8 @@ def _pt(x: float, y: float) -> str:
     return f"{x:.3f},{y:.3f}"
 
 
-def line_plot_svg(xs, ys, title: str, width: int = 640, height: int = 400,
-                  margin: int = 56) -> str:
+def line_plot_svg(xs, ys, title: str) -> str:
+    width, height, margin = 640, 400, 56
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -174,7 +169,8 @@ def line_plot_svg(xs, ys, title: str, width: int = 640, height: int = 400,
     ]) + "\n"
 
 
-def polar_plot_svg(intensity, title: str, size: int = 480) -> str:
+def polar_plot_svg(intensity, title: str) -> str:
+    size = 480
     values = np.asarray(intensity, dtype=float)
     peak = values.max() if values.max() > 0 else 1.0
     center = size / 2.0

@@ -16,6 +16,7 @@ from oam_eraser.analysis import (
     distinguishability,
     exact_fringes,
     fit_sinusoid,
+    fit_visibility,
     fitted_visibility,
     oam_fringe_visibility,
     render_azimuthal_pattern,
@@ -37,10 +38,6 @@ ROOT2 = math.sqrt(2.0)
 def series_of(settings, values):
     return ScanSeries("theta", tuple(float(s) for s in settings),
                       tuple(float(v) for v in values))
-
-
-def with_fit(series, on="auto"):
-    return replace(series, fit=fit_sinusoid(series, on))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +394,7 @@ def test_fringe_visibility_matches_sparse_projection(arm):
             probs = tuple(apply_element(replace(spec, theta=float(t)), state)[1]
                           for t in thetas)
             series = ScanSeries("theta", tuple(float(t) for t in thetas), probs)
-            want = visibility(with_fit(series, on="probabilities"))
+            want = fit_visibility(fit_sinusoid(series, on="probabilities"))
             got = oam_fringe_visibility(state, ell, arm=arm)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -542,7 +539,7 @@ def test_mixed_markers_stay_inside_the_complementarity_bound(seed, path_arm,
     hologram = HologramSpec(ell=1, arm=path_arm)
     probs = sum(w * analyzer_probabilities(ket, None, hologram, (), thetas)[1][0]
                 for w, ket in zip(weights, kets))
-    vis = visibility(with_fit(series_of(thetas, probs), on="probabilities"))
+    vis = fit_visibility(fit_sinusoid(series_of(thetas, probs), on="probabilities"))
     basis = marker_basis(kets, path_arm)
     dist = trace_norm(sum(w * marker_difference(ket, 1, path_arm, basis)[1]
                           for w, ket in zip(weights, kets)))
