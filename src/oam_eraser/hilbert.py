@@ -303,36 +303,26 @@ def density_matrix(basis: Sequence, matrix: np.ndarray) -> DensityMatrix:
     return DensityMatrix(tuple(basis), mat)
 
 
-def _label_slot(key: tuple, arm: str, dof: str):
-    pol, ell = (key[0], key[1]) if arm == "A" else (key[2], key[3])
-    if dof == "both":
-        return (pol, ell)
-    if dof == "pol":
-        return (pol,)
-    if dof == "oam":
-        return (ell,)
-    raise ValueError(f"unknown degree-of-freedom selector {dof!r}")
-
-
 def reduced_density(state: JointKet, arm: str, dof: str = "both",
                     basis: Sequence | None = None) -> DensityMatrix:
     """Partial trace down to one arm (optionally one degree of freedom);
     demo 01's purities and the tests' which-path oracle use it."""
     if arm not in ARMS:
         raise ValueError("empty or unknown arm selector")
+    if dof not in ("both", "pol", "oam"):
+        raise ValueError(f"unknown degree-of-freedom selector {dof!r}")
     if abs(state.norm() - 1.0) > _NORM_TOL:
         raise ValueError("state must be normalized")
     kept: dict = {}
     for key, amp in state.amplitudes.items():
-        slot = _label_slot(key, arm, dof)
-        other_arm = "B" if arm == "A" else "A"
-        opol, oell = (key[0], key[1]) if other_arm == "A" else (key[2], key[3])
+        here, other = (key[:2], key[2:]) if arm == "A" else (key[2:], key[:2])
         # trace over the other arm entirely, and over the unselected dof
-        traced = (opol, oell)
-        if dof == "pol":
-            traced = traced + (key[1] if arm == "A" else key[3],)
-        elif dof == "oam":
-            traced = traced + (key[0] if arm == "A" else key[2],)
+        if dof == "both":
+            slot, traced = here, other
+        elif dof == "pol":
+            slot, traced = here[:1], other + here[1:]
+        else:
+            slot, traced = here[1:], other + here[:1]
         group = kept.setdefault(traced, {})
         group[slot] = group.get(slot, 0.0 + 0.0j) + amp
     if basis is None:

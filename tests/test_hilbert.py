@@ -196,6 +196,11 @@ def test_reduced_state_of_product_is_pure():
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_reduced_density_rejects_an_unknown_selector():
+    with pytest.raises(ValueError, match="degree-of-freedom selector 'spin'"):
+        reduced_density(bell_circular(), "A", "spin")
+
+
 def test_reduced_purity_of_marked_pair_is_half():
     # local unitaries preserve entanglement; hand partial trace gives I/2
     rho = reduced_density(marked_pair(1, math.pi / 2), "A", "pol")
