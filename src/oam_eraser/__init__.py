@@ -74,5 +74,3 @@ from .analysis import (
 from .configio import ConfigError, RunSpec, ScanSpec, emit_config, parse_config
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]
