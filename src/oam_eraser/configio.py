@@ -72,7 +72,10 @@ class ScanSpec:
             raise ValueError("scan needs at least one point")
 
     def thetas(self) -> np.ndarray:
-        return np.linspace(self.theta_start, self.theta_stop, self.theta_points)
+        """``theta_points`` angles from ``theta_start`` up to, not including,
+        ``theta_stop``, so a full turn samples no angle twice."""
+        return np.linspace(self.theta_start, self.theta_stop, self.theta_points,
+                           endpoint=False)
 
     def alphas(self) -> np.ndarray:
         return np.linspace(self.alpha_start, self.alpha_stop, self.alpha_points)
