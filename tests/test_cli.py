@@ -525,11 +525,11 @@ DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "eraser.cfg"
 #: (fit fields print rounding noise at 12 significant digits).
 DEMO_DIGESTS = {
     "scan_theta.csv":
-        "ca47d4bd8de6cba893c19fc726445980745fdaaada06a9f34041b16c2026712a",
+        "71e2022d435624bdb215935175d271cc6ef5b28f9d4359a64592fe5c0b3f183c",
     "scan_theta.svg":
-        "9f2edf0d79950c19d5c0eb3a72855fdcf429d57c9290e90b81b4caad46bd46e5",
+        "a09b4ff7766d48fa075c484218823faa39e6481116a93a512e6fc5e719cb7d46",
     "scan_grid.csv":
-        "0b3d48888c9c3b64e3381186a10757d261f8ab616f1d5f49dc6ec0d2f5b6fec5",
+        "fbc76b4befb10a003fb777fdc90e5fe36de52c95d535065f5d49749c226a0007",
     "timeline_events.csv":
         "ff943cabbc53bf4f452b74fc7a723464b5470a7d5202626dd82dbbfad92e31b8",
     "timeline_summary.csv":
