@@ -21,6 +21,7 @@ order in which scan points are evaluated.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
@@ -209,11 +210,20 @@ class EventTable:
 
     @cached_property
     def _records(self) -> tuple:
+        # Records are flat tuples of atoms and form no cycles, so the cyclic
+        # collector, which a large build would trigger again and again, is
+        # paused while they are made and then put back as it was.
         record = partial(tuple.__new__, EventRecord)  # skips the Python __new__
-        return tuple(chain.from_iterable(
-            map(record, zip(repeat(arm), times.tolist(),
-                            map(TAGS.__getitem__, true_pair.tolist())))
-            for arm, times, true_pair in self.arms()))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return tuple(chain.from_iterable(
+                map(record, zip(repeat(arm), times.tolist(),
+                                map(TAGS.__getitem__, true_pair.tolist())))
+                for arm, times, true_pair in self.arms()))
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Bit-stable result emission: CSV tables and minimal SVG plots.
 
-Floating-point values are printed with 12 significant digits and files use
-LF line endings, so identical inputs always produce byte-identical files.
+Floating-point values are printed as ``%.12g`` and files use LF line endings,
+so identical inputs always produce byte-identical files; the events CSV rounds
+its times in numpy and leaves Python's ``%`` only near ties and e-forms.
 The SVG writers are deliberately tiny (axes, polyline, labels) to keep the
 output diffable.
 """
@@ -80,15 +81,74 @@ def grid_csv(alphas, thetas, joint, conditional) -> str:
         for i, alpha in enumerate(alphas) for j, theta in enumerate(thetas)))
 
 
+_CHUNK = 1 << 13  # rows per block of events_csv; bounds its working memory
+_POW10 = np.array([float(10 ** k) for k in range(17)])
+#: "00".."99" as two ASCII bytes each, then the same with trailing zeros NUL
+_PAIRS = np.frombuffer("".join([f"{i:02d}" for i in range(100)] + [
+    f"{i:02d}".rstrip("0").ljust(2, "\0") for i in range(100)]).encode(), "<u2")
+
+
 def events_csv(events: EventTable) -> str:
-    """One row per click, arm A then arm B, formatted by one ``%`` over a
-    per-row template; ``%.12g`` prints each time as :func:`fmt` does."""
-    rows, times = ["arm,timestamp_s,tag"], []
-    for arm, arm_times, true_pair in events.arms():
-        templates = tuple(f"{arm},%.12g,{tag}" for tag in TAGS)
-        rows += map(templates.__getitem__, true_pair.tolist())
-        times += arm_times.tolist()
-    return "\n".join(rows) % tuple(times) + "\n"
+    """One row per click, arm A then arm B, each time printed as ``%.12g``.
+
+    With ``e = floor(log10 t)``, the 12-digit mantissa ``m = rint(t *
+    10**(11 - e))`` gives the digits, trailing zeros stripped as ``%g``
+    strips them.  A time that is not finite or not positive, lies below
+    1e-4 (e-form), has ``m`` outside ``[1e11, 1e12)`` (a carry to the next
+    power of ten, 1e12 and up, or ``log10`` one off) or lies within 1e-3 of
+    a rounding tie is printed by Python's ``%`` instead, so every byte
+    matches ``%.12g``.  Rows go in blocks of ``_CHUNK`` into one buffer.
+    """
+    head = b"arm,timestamp_s,tag\n"
+    # one buffer, freed whole: a string per block would stay on the C heap
+    widest = 22 + max(map(len, TAGS))  # plus the arm: 19-byte time, 3 marks
+    text = np.empty(len(head) + sum(len(times) * (len(arm) + widest)
+                                    for arm, times, _ in events.arms()), np.uint8)
+    text[:len(head)] = np.frombuffer(head, np.uint8)
+    end = len(head)
+    for arm, times, true_pair in events.arms():
+        for lo in range(0, len(times), _CHUNK):
+            rows = _event_rows(arm, times[lo:lo + _CHUNK], true_pair[lo:lo + _CHUNK])
+            text[end:end + len(rows)] = rows
+            end += len(rows)
+    text.resize(end, refcheck=False)  # in place; no view of it is left
+    return str(memoryview(text), "ascii")
+
+
+def _event_rows(arm, t, true_pair) -> np.ndarray:
+    """The CSV bytes of one block of rows of one arm."""
+    ok = np.isfinite(t) & (t > 0.0)
+    s = np.where(ok, t, 1.0)
+    e = np.clip(np.floor(np.log10(s)), -5, 11).astype(np.int64)
+    x = s * _POW10[11 - e]
+    m = np.rint(x)
+    fallback = ~ok | (e < -4) | (m < 1e11) | (m >= 1e12) | (abs(x - m) > 0.499)
+    q, strip = np.where(fallback, 1e11, m).astype(np.int64), True
+    digits = np.zeros((len(t), 7), "<u2")  # 12 digit bytes and 2 NUL
+    for j in range(5, -1, -1):
+        q, r = np.divmod(q, 100)
+        digits[:, j] = _PAIRS[r + 100 * strip]
+        strip = strip & (r == 0)
+    digits = digits.view(np.uint8)
+    # per tag, a row template: arm, 19-byte time field, tag; NULs are dropped
+    lines = np.array([f"{arm},0.000".ljust(len(arm) + 20, "\0") + f",{tag}\n"
+                      for tag in TAGS], "S").view(np.uint8).reshape(len(TAGS), -1)
+    line = lines.take(true_pair.astype(np.intp), axis=0)
+    field = line[:, len(arm) + 1:len(arm) + 20]
+    for v in np.flatnonzero(np.bincount(e + 5)[1:]) - 4:
+        rows = np.flatnonzero(e == v)
+        if rows[-1] - rows[0] + 1 == len(rows):  # a run: slices, no gather
+            rows = slice(rows[0], rows[-1] + 1)
+        if v < 0:  # "0." and -v-1 zeros are in the template
+            field[rows, 1 - v:13 - v] = digits[rows, :12]
+        else:  # integer zeros stay; the point goes where no digit follows
+            field[rows, :v + 1] = np.maximum(digits[rows, :v + 1], 48)
+            field[rows, v + 1] = np.where(digits[rows, v + 1] > 0, 46, 0)
+            field[rows, v + 2:13] = digits[rows, v + 1:12]
+    fb = np.flatnonzero(fallback)
+    field[fb] = np.array(["%.12g" % value for value in t[fb].tolist()],
+                         "S19").view(np.uint8).reshape(-1, 19)
+    return line[line > 0]
 
 
 def pattern_csv(phis, intensity) -> str:

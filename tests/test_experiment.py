@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +32,7 @@ from oam_eraser.experiment import (
     simulate_timeline,
     theta_scan,
 )
-from oam_eraser import analysis, experiment
+from oam_eraser import analysis, experiment, output
 from oam_eraser.hilbert import POL_H, POL_V, joint_ket, state_overlap
 from oam_eraser.output import events_csv, fmt
 
@@ -614,6 +616,98 @@ def test_events_csv_prints_times_as_fmt():
                        np.empty(0, bool))
     assert len(empty) == 0 and list(empty) == []
     assert events_csv(empty) == "arm,timestamp_s,tag\n"
+
+
+def _percent_csv(events):
+    """The events CSV by one Python ``%`` over a ``%.12g`` row template."""
+    rows, times = ["arm,timestamp_s,tag"], []
+    for arm, arm_times, true_pair in events.arms():
+        templates = tuple(f"{arm},%.12g,{tag}" for tag in experiment.TAGS)
+        rows += map(templates.__getitem__, true_pair.tolist())
+        times += arm_times.tolist()
+    return "\n".join(rows) % tuple(times) + "\n"
+
+
+def _assert_matches_percent(events):
+    got, want = events_csv(events), _percent_csv(events)
+    if got != want:  # name the rows; a diff of the whole text takes minutes
+        rows = zip(got.split("\n"), want.split("\n"))
+        pytest.fail(f"rows differ: {[r for r in rows if r[0] != r[1]][:5]}")
+
+
+def _table(times_a, times_b, rng):
+    return EventTable(np.asarray(times_a, float), rng.random(len(times_a)) < 0.5,
+                      np.asarray(times_b, float), rng.random(len(times_b)) < 0.5)
+
+
+SPECIAL_TIMES = [1e-4, np.nextafter(1e-4, 0.0), 1e12, np.nextafter(1e12, 0.0),
+                 5e-324, 0.0, -0.0, -2.5, -1e-6, math.inf, -math.inf, math.nan]
+
+
+def test_events_csv_matches_percent_oracle():
+    rng = np.random.default_rng(15)
+    scales = [float(f"{k}e{p}") for k in ("1", "5", "9.99999999999",
+                                          "9.999999999995", "1.000000000005")
+              for p in range(-12, 16)]
+    times = np.concatenate([
+        10.0 ** rng.uniform(-8.0, 14.0, 500_000),  # e-forms included
+        np.sort(rng.uniform(0.0, 2.0, 200_000)),  # sorted, as timelines are
+        [float(f"{x:.12e}") for x in 10.0 ** rng.uniform(-5.0, 13.0, 100_000)],
+        [float(f"{d}5e{p}") for d, p in zip(  # 13 digits ending in 5: ties
+            rng.integers(10 ** 11, 10 ** 12, 100_000).tolist(),
+            rng.integers(-17, 0, 100_000).tolist())],
+        rng.integers(0, 10 ** 6, 100_000) / 10.0 ** rng.integers(0, 12, 100_000),
+        scales, np.nextafter(scales, 0.0), np.nextafter(scales, math.inf),
+        SPECIAL_TIMES])
+    assert len(times) >= 1_000_000
+    half = len(times) // 2
+    _assert_matches_percent(_table(rng.permutation(times[:half]), times[half:], rng))
+    fallback_only = [0.0, -1.0, 1e-300, 1e300, math.nan, -math.inf, 0.9999999999995]
+    for table in (_table([], SPECIAL_TIMES, rng), _table(SPECIAL_TIMES, [], rng),
+                  _table(fallback_only, [0.25, 1e-5], rng), _table([], [], rng)):
+        _assert_matches_percent(table)
+
+
+def test_events_csv_chunk_boundaries():
+    rng = np.random.default_rng(16)
+    n = 2 * output._CHUNK + 37
+    times = np.sort(rng.uniform(1e-4, 3.0, n))
+    # rows that go through Python's %: zero, e-form and near ties, on the
+    # first and the last row of blocks
+    fallbacks = [0.0, 0.9999999999995, 0.5000000000005, 1e-5, 2.000000000005]
+    for k in (1, 2):
+        times[k * output._CHUNK - 1] = fallbacks[k]
+        times[k * output._CHUNK] = fallbacks[k + 2]
+    times[0], times[-1] = fallbacks[0], 12.34567890125
+    table = _table(times, times[::-1].copy(), rng)
+    assert table.true_pair_a.any() and not table.true_pair_a.all()
+    _assert_matches_percent(table)
+
+
+def test_events_csv_memory_stays_within_the_text():
+    rng = np.random.default_rng(17)
+    table = _table(np.sort(rng.uniform(0.0, 1.5, 150_000)),
+                   np.sort(rng.uniform(0.0, 1.5, 150_000)), rng)
+    tracemalloc.start()
+    try:
+        text = events_csv(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_event_records_leave_gc_as_found(enabled):
+    config = timeline_config(seed=19, singles=3000.0)
+    events, _ = simulate_timeline(config, math.pi / 4, 0.0, 0.2)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(list(events)) == len(events) > 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def _random_streams(rng):
