@@ -2,7 +2,7 @@
 
 Floating-point values are printed as ``%.12g`` and files use LF line endings,
 so identical inputs always produce byte-identical files; the events CSV rounds
-its times in numpy and leaves Python's ``%`` only near ties and e-forms.
+its times in numpy and leaves Python's ``%`` to the rows events_csv lists.
 The SVG writers are deliberately tiny (axes, polyline, labels) to keep the
 output diffable.
 """
