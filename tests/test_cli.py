@@ -578,10 +578,136 @@ def test_accidental_timeline_is_byte_stable(tmp_path, capsys):
         "1ebe342cc761cc7883cb0f9729d38d45f64c303d6949faafe20e3329005b1777"
 
 
+#: the demo config with one set of overrides per case: between them both
+#: hologram modes, a polarizer leak, an arm-A delay, a gaussian spectrum whose
+#: l = +-2 pairs pass a charge-1 q-plate and an l = 2 hologram, and singles on
+#: both arms
+MATRIX_OVERRIDES = {
+    "ideal": (),
+    "binary-leak-delay": (("hologram_mode = ideal", "hologram_mode = binary"),
+                          ("extinction = 0.0", "extinction = 0.05"),
+                          ("delay_m = 0.0", "delay_m = 3.0")),
+    "gaussian-l2-singles": (("l_max = 1", "l_max = 2"),
+                            ("spectrum = flat",
+                             "spectrum = gaussian\nsigma_l = 1.5"),
+                            ("\nq = 0.5\n", "\nq = 1.0\n"),
+                            ("hologram_l = 1", "hologram_l = 2"),
+                            ("singles_a_hz = 0.0", "singles_a_hz = 3000.0"),
+                            ("singles_b_hz = 0.0", "singles_b_hz = 2000.0")),
+}
+
+#: output subdirectory -> command, so the counted and the exact theta scan
+#: write their files side by side
+MATRIX_COMMANDS = {
+    "counts": ["scan-theta", "--counts", "--svg"],
+    "exact": ["scan-theta", "--no-counts", "--svg"],
+    "grid": ["scan-grid"],
+    "timeline": ["timeline", "--duration-s", "0.5"],
+    "pattern": ["render-pattern"],
+}
+
+#: sha256 of every file the matrix writes that carries no least-squares fit
+MATRIX_DIGESTS = {
+    "binary-leak-delay": {
+        "counts/scan_theta.csv":
+            "0bcdf100df48559e63a06ee96aa331cf0dac039cc896e6e901b4846b57f82ccf",
+        "counts/scan_theta.svg":
+            "5d97850e0324047bba82ceab59f43a89118de2332cc795bf11da0dcad3a638b2",
+        "exact/scan_theta.csv":
+            "487f61ddc78b9e014739940e4a524484441aa07de6609b05a3e59dc2c55b6e3a",
+        "exact/scan_theta.svg":
+            "5d97850e0324047bba82ceab59f43a89118de2332cc795bf11da0dcad3a638b2",
+        "grid/scan_grid.csv":
+            "0dab4606836f567ebec699c182f15466d39b1a5d382703cfb274780c12f670dd",
+        "timeline/timeline_events.csv":
+            "645877bff63a8e721675562a0e90cd693827091bfbd1fa7119c022be9ce0c9d1",
+        "timeline/timeline_summary.csv":
+            "472abc1f9239957def4c63c52bad685e99a759dc8d2a4481017f231d3232cda0",
+        "pattern/pattern.csv":
+            "6852db9bcca24db497fb23c808e007b3f631515ec37cfbf175292ad9c060d83e",
+        "pattern/pattern.svg":
+            "5511a6eef4eceb0c395a4718cb01e2b764484c835d874e307e49598bd49bf8b7",
+    },
+    "gaussian-l2-singles": {
+        "counts/scan_theta.csv":
+            "cad9579d9d093178530ad8029ba946c81f2e69d3eb8e2948d934538b3a8c6914",
+        "counts/scan_theta.svg":
+            "a09b4ff7766d48fa075c484218823faa39e6481116a93a512e6fc5e719cb7d46",
+        "exact/scan_theta.csv":
+            "73653320fa48c8eb44f3553aff69d5a6e153d1052cb03c669e0ac5b7696461c7",
+        "exact/scan_theta.svg":
+            "a09b4ff7766d48fa075c484218823faa39e6481116a93a512e6fc5e719cb7d46",
+        "grid/scan_grid.csv":
+            "fbc76b4befb10a003fb777fdc90e5fe36de52c95d535065f5d49749c226a0007",
+        "timeline/timeline_events.csv":
+            "c3b79906c2807ee296648d9acb4b6b907bc0ed2c6e5a9083aba09c3844a6be6c",
+        "timeline/timeline_summary.csv":
+            "8d729d2759718c42ffecccfae90187f07cb2db0363cb33723d5a5a7b3a064d23",
+        "pattern/pattern.csv":
+            "f063d582b7f6f8bdbee8cbe72b708aaf7b568a83bd9836f4ec70bb2307ebac5f",
+        "pattern/pattern.svg":
+            "7063a116e1af39a9e50da031061be22c3826baa50d453ba630b12aba38d38a0d",
+    },
+    "ideal": {
+        "counts/scan_theta.csv":
+            "71e2022d435624bdb215935175d271cc6ef5b28f9d4359a64592fe5c0b3f183c",
+        "counts/scan_theta.svg":
+            "a09b4ff7766d48fa075c484218823faa39e6481116a93a512e6fc5e719cb7d46",
+        "exact/scan_theta.csv":
+            "73653320fa48c8eb44f3553aff69d5a6e153d1052cb03c669e0ac5b7696461c7",
+        "exact/scan_theta.svg":
+            "a09b4ff7766d48fa075c484218823faa39e6481116a93a512e6fc5e719cb7d46",
+        "grid/scan_grid.csv":
+            "fbc76b4befb10a003fb777fdc90e5fe36de52c95d535065f5d49749c226a0007",
+        "timeline/timeline_events.csv":
+            "9ea86af1dc05946ac98a78e44f363febdbede36b5f88be9ebd912f2f8ef5482f",
+        "timeline/timeline_summary.csv":
+            "95453e3b564bd956dfde8ec5ca35026534e3d9808c0e82736dc124a91db58d22",
+        "pattern/pattern.csv":
+            "6852db9bcca24db497fb23c808e007b3f631515ec37cfbf175292ad9c060d83e",
+        "pattern/pattern.svg":
+            "5511a6eef4eceb0c395a4718cb01e2b764484c835d874e307e49598bd49bf8b7",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_OVERRIDES))
+def test_config_matrix_outputs_are_byte_stable(tmp_path, case):
+    text = DEMO_CONFIG.read_text(encoding="utf-8")
+    for old, new in MATRIX_OVERRIDES[case]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / f"{case}.cfg"
+    path.write_text(text, encoding="utf-8")
+    for sub, command in MATRIX_COMMANDS.items():
+        assert main([command[0], str(path), *command[1:],
+                     "--out-dir", str(tmp_path / sub)]) == 0
+    got = {f"{sub}/{name}": hashlib.sha256(
+               (tmp_path / sub / name).read_bytes()).hexdigest()
+           for sub in MATRIX_COMMANDS
+           for name in sorted(os.listdir(tmp_path / sub))
+           if "summary" not in name or sub == "timeline"}
+    assert got == MATRIX_DIGESTS[case]
+
+
 # ---------------------------------------------------------------------------
 # demo scripts
 
 DEMOS = sorted(DEMO_CONFIG.parent.glob("0*.py"))
+
+#: sha256 of each demo's stdout, with the directory it ran in written <dir>
+DEMO_STDOUT_DIGESTS = {
+    "01_hybrid_entanglement":
+        "c1134fd2fda30bbcac3ae0a0466bae3de07f21e0c94305909c359b93c3b4610a",
+    "02_eraser_fringes":
+        "8fe360058f5100bbd1188ed83ddbfebf8c825e704ae356cba4d4bab2f22a4e2a",
+    "03_delayed_choice_timeline":
+        "b3518df3b83f4f2390f3c5f46dcb918983aec692c0693b02414e8f0ff10a9b26",
+    "04_sector_masks":
+        "fa549182e45a09d1b8880b02f770f1c463e1f0d55ed0511bacda5b12e9f58caa",
+    "05_which_path_tradeoff":
+        "b639916defdc1b78c3bb796dfe994a88488dafec32aceb53b81a064d21e17c20",
+}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
@@ -594,4 +720,6 @@ def test_demo_script_runs(script, tmp_path):
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip()
+    stdout = result.stdout.replace(str(tmp_path), "<dir>")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        DEMO_STDOUT_DIGESTS[script.stem], stdout
