@@ -9,7 +9,6 @@ distinguishability.
 """
 
 from .hilbert import (
-    DensityMatrix,
     JointKet,
     LocalKet,
     LocalOperator,
@@ -20,10 +19,8 @@ from .hilbert import (
     local_ket,
     polarization_ket,
     project,
-    reduced_density,
     state_overlap,
     tensor,
-    trace_distance,
 )
 from .elements import (
     DelaySpec,
@@ -68,7 +65,6 @@ from .analysis import (
     render_azimuthal_pattern,
     theoretical_visibility,
     two_path_pattern,
-    visibility,
     visibility_curve,
 )
 from .configio import ConfigError, RunSpec, ScanSpec, emit_config, parse_config

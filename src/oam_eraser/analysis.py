@@ -1,9 +1,9 @@
 """Fringe analytics: visibility, which-path knowledge, pattern rendering.
 
-Visibility is the Michelson contrast ``(P_max - P_min)/(P_max + P_min)``:
-from raw extrema, or from a fringe fit, which is closed-form for exact
-scans (:func:`exact_fringes`) and least squares for counted or read-back
-ones (:func:`fit_sinusoid`).  Which-path knowledge is
+Visibility is the Michelson contrast ``(P_max - P_min)/(P_max + P_min)``
+of a fringe fit, ``amplitude/offset`` (:func:`fit_visibility`).  The fit is
+closed-form for exact scans (:func:`exact_fringes`) and least squares for
+counted or read-back ones (:func:`fit_sinusoid`).  Which-path knowledge is
 the trace norm of the weighted difference between the marker states
 conditioned on each path; for pure joint states ``V**2 + D**2 = 1``.
 """
@@ -115,23 +115,6 @@ def fit_visibility(fit: FringeFit) -> float:
     # clamped, not checked: a sinusoid fit to noisy counts can
     # legitimately give amplitude/offset > 1
     return min(max(fit.amplitude / fit.offset, 0.0), 1.0)
-
-
-def visibility(series: ScanSeries) -> float:
-    """Fringe contrast of a scan, in [0, 1], from its raw min/max.
-
-    The settings must span a full fringe period (pi for the frequency-2
-    fringes here).  The contrast of a fitted fringe (``amplitude/offset``)
-    is :func:`fit_visibility`.
-    """
-    values = np.asarray(series.probabilities, dtype=float)
-    span = max(series.settings) - min(series.settings)
-    if len(values) < 2 or span < math.pi * (1.0 - 1e-9):
-        raise ValueError("scan must span at least one fringe period")
-    p_max, p_min = float(values.max()), float(values.min())
-    if p_max + p_min <= 0.0:
-        raise ValueError("no signal")
-    return min(max((p_max - p_min) / (p_max + p_min), 0.0), 1.0)
 
 
 def theoretical_visibility(alpha: float) -> float:

@@ -22,15 +22,15 @@ from oam_eraser.analysis import (
     render_azimuthal_pattern,
     theoretical_visibility,
     two_path_pattern,
-    visibility,
     visibility_curve,
 )
 from oam_eraser.elements import HologramSpec, apply_element
 from oam_eraser.experiment import (ScanSeries, analyzer_probabilities,
                                    hybrid_eraser_config, run_pipeline)
-from oam_eraser.hilbert import NULL_TOL, POL_H, POL_V, joint_ket, reduced_density
+from oam_eraser.hilbert import NULL_TOL, POL_H, POL_V, joint_ket
 
 from conftest import marked_pair
+from density_oracle import reduced_density
 
 ROOT2 = math.sqrt(2.0)
 
@@ -44,27 +44,25 @@ def series_of(settings, values):
 # visibility
 
 
+def fitted_contrast(thetas, values):
+    return fit_visibility(fit_sinusoid(series_of(thetas, values)))
+
+
 def test_constant_series_has_zero_visibility():
     thetas = np.linspace(0, 2 * math.pi, 24, endpoint=False)
-    assert visibility(series_of(thetas, np.full(24, 0.5))) == 0.0
+    assert fitted_contrast(thetas, np.full(24, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unit_contrast_sinusoid():
     thetas = np.linspace(0, 2 * math.pi, 100, endpoint=False)
     values = (1 + np.cos(2 * thetas)) / 2
-    assert visibility(series_of(thetas, values)) == pytest.approx(1.0, abs=1e-9)
+    assert fitted_contrast(thetas, values) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_all_zero_series_raises():
     thetas = np.linspace(0, 2 * math.pi, 12, endpoint=False)
     with pytest.raises(ValueError, match="no signal"):
-        visibility(series_of(thetas, np.zeros(12)))
-
-
-def test_visibility_requires_full_period():
-    thetas = np.linspace(0, 1.0, 10)
-    with pytest.raises(ValueError, match="period"):
-        visibility(series_of(thetas, np.full(10, 0.5)))
+        fitted_contrast(thetas, np.zeros(12))
 
 
 def test_erased_setting_reaches_full_contrast():

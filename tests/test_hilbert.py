@@ -8,23 +8,20 @@ from oam_eraser.hilbert import (
     POL_H,
     POL_V,
     POL_IDENTITY,
-    DensityMatrix,
     LocalOperator,
     OamOverflowError,
     apply_local,
     basis_ket,
     checked_probability,
-    density_matrix,
     joint_ket,
     polarization_ket,
     project,
-    reduced_density,
     state_overlap,
     tensor,
-    trace_distance,
 )
 
 from conftest import bell_circular, marked_pair
+from density_oracle import density_matrix, reduced_density, trace_distance
 
 ROOT2 = math.sqrt(2.0)
 
