@@ -9,8 +9,11 @@ Subcommands (one per measurement style):
     render-pattern  azimuthal intensity of the analyzed sector state
     fit             sinusoid fit of a previously written scan CSV
 
-Exit codes: 0 success, 2 configuration error, 3 null pipeline (an element
-extinguished the state), 4 output I/O error.
+Each handler reads its input and computes, and returns its files and a
+summary line; :func:`main` writes the files, then prints the line.
+
+Exit codes: 0 success, 2 configuration error or unreadable input, 3 null
+pipeline (an element extinguished the state), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _load(args) -> RunSpec:
     return run
 
 
-def _scan_theta(args) -> int:
+def _scan_theta(args) -> tuple:
     run = _load(args)
     config, scan = run.config, run.scan
     series = experiment.theta_scan(config, thetas=scan.thetas())
@@ -56,13 +59,11 @@ def _scan_theta(args) -> int:
         files["scan_theta.svg"] = output.line_plot_svg(
             series.settings, series.probabilities,
             "conditional probability vs hologram angle")
-    output.write_outputs(args.out_dir, files)
-    print(f"scan-theta: {len(series.settings)} points, "
-          f"visibility={output.fmt(vis)}")
-    return EXIT_OK
+    return files, (f"scan-theta: {len(series.settings)} points, "
+                   f"visibility={output.fmt(vis)}")
 
 
-def _scan_alpha(args) -> int:
+def _scan_alpha(args) -> tuple:
     run = _load(args)
     config, scan = run.config, run.scan
     alphas = scan.alphas()
@@ -76,25 +77,20 @@ def _scan_alpha(args) -> int:
         files["scan_alpha.svg"] = output.line_plot_svg(
             [p.alpha for p in points], [p.visibility for p in points],
             "fringe visibility vs polarizer angle")
-    output.write_outputs(args.out_dir, files)
-    print(f"scan-alpha: {len(points)} settings, "
-          f"max visibility={output.fmt(max(p.visibility for p in points))}")
-    return EXIT_OK
+    return files, (f"scan-alpha: {len(points)} settings, max visibility="
+                   f"{output.fmt(max(p.visibility for p in points))}")
 
 
-def _scan_grid(args) -> int:
+def _scan_grid(args) -> tuple:
     run = _load(args)
     scan = run.scan
     alphas, thetas = scan.alphas(), scan.thetas()
     joint, cond = experiment.conditional_grid(run.config, alphas, thetas)
-    output.write_outputs(args.out_dir, {
-        "scan_grid.csv": output.grid_csv(alphas, thetas, joint, cond),
-    })
-    print(f"scan-grid: {len(alphas)}x{len(thetas)} points")
-    return EXIT_OK
+    return ({"scan_grid.csv": output.grid_csv(alphas, thetas, joint, cond)},
+            f"scan-grid: {len(alphas)}x{len(thetas)} points")
 
 
-def _timeline(args) -> int:
+def _timeline(args) -> tuple:
     run = _load(args)
     config = run.config
     alpha = config.analyzer_a.alpha
@@ -109,42 +105,38 @@ def _timeline(args) -> int:
         ("gate_ns", config.counting.gate * 1e9),
         ("events", len(events)),
     ]
-    output.write_outputs(args.out_dir, {
+    files = {
         "timeline_events.csv": output.events_csv(events),
         "timeline_summary.csv": output.summary_csv(summary),
-    })
-    print(f"timeline: {coincidences} coincidences in "
-          f"{output.fmt(args.duration_s)} s "
-          f"(arm A delayed {output.fmt(config.arm_delay('A') * 1e9)} ns)")
-    return EXIT_OK
+    }
+    return files, (f"timeline: {coincidences} coincidences in "
+                   f"{output.fmt(args.duration_s)} s "
+                   f"(arm A delayed {output.fmt(config.arm_delay('A') * 1e9)} ns)")
 
 
-def _render_pattern(args) -> int:
+def _render_pattern(args) -> tuple:
     run = _load(args)
     ell = args.ell if args.ell is not None else run.config.analyzer_b.ell
     intensity = analysis.render_azimuthal_pattern(ell, args.phase_rad,
                                                   args.grid_n)
     phis = analysis.azimuthal_grid(args.grid_n)
     lobes = analysis.count_azimuthal_lobes(intensity)
-    output.write_outputs(args.out_dir, {
+    files = {
         "pattern.csv": output.pattern_csv(phis, intensity),
         "pattern.svg": output.polar_plot_svg(
             intensity, f"azimuthal intensity, {lobes} lobes"),
-    })
-    print(f"render-pattern: {lobes} lobes for |l|={abs(ell)}")
-    return EXIT_OK
+    }
+    return files, f"render-pattern: {lobes} lobes for |l|={abs(ell)}"
 
 
-def _fit(args) -> int:
+def _fit(args) -> tuple:
     series = output.read_scan_csv(args.csv)
     fit = analysis.fit_sinusoid(series, on=args.column)
     vis = analysis.fit_visibility(fit)
-    output.write_outputs(args.out_dir, {
-        "fit_summary.csv": output.summary_csv(output.fit_summary_rows(vis, fit)),
-    })
-    print(f"fit: visibility={output.fmt(vis)} offset={output.fmt(fit.offset)} "
-          f"amplitude={output.fmt(fit.amplitude)} phase={output.fmt(fit.phase)}")
-    return EXIT_OK
+    summary = output.summary_csv(output.fit_summary_rows(vis, fit))
+    return {"fit_summary.csv": summary}, (
+        f"fit: visibility={output.fmt(vis)} offset={output.fmt(fit.offset)} "
+        f"amplitude={output.fmt(fit.amplitude)} phase={output.fmt(fit.phase)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,23 +198,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a handler reads its input and computes; only this function writes, so
+    # an OSError from the handler is the input's and one from here the output's
     try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+        files, summary = args.handler(args)
+    except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except experiment.NullOutcomeError as exc:
         print(f"null pipeline: {exc}", file=sys.stderr)
         return EXIT_NULL
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # ConfigError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        output.write_outputs(args.out_dir, files)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
+    print(summary)
+    return EXIT_OK
 
 
 def entry() -> None:

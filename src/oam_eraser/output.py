@@ -158,18 +158,23 @@ def pattern_csv(phis, intensity) -> str:
 
 
 def read_scan_csv(path) -> ScanSeries:
+    """Read a :func:`scan_csv` table back; a bad header or row raises a
+    ``ValueError`` that names the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    if header[:3] != ["setting_rad", "p_joint", "p_conditional"]:
-        raise ValueError(f"not a scan CSV: {path}")
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    number, header = lines[0] if lines else (1, "")
+    if header.split(",")[:3] != ["setting_rad", "p_joint", "p_conditional"]:
+        raise ValueError(f"not a scan CSV: {path} (line {number})")
     settings, joint, cond, counts = [], [], [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        settings.append(float(cells[0]))
-        joint.append(float(cells[1]) if cells[1] else None)
-        cond.append(float(cells[2]))
-        counts.append(int(cells[3]) if len(cells) > 3 and cells[3] else None)
+    for number, line in lines[1:]:
+        try:
+            setting, j, p, *c = line.split(",")
+            settings.append(float(setting))
+            joint.append(float(j) if j else None)
+            cond.append(float(p))
+            counts.append(int(c[0]) if c and c[0] else None)
+        except ValueError as exc:  # a short row, or a cell that is no number
+            raise ValueError(f"{exc}: {path} (line {number})") from None
     have_joint = all(j is not None for j in joint)
     have_counts = all(c is not None for c in counts)
     return ScanSeries(

@@ -516,6 +516,38 @@ def test_missing_config_exit_code(tmp_path):
     assert main(["scan-theta", str(tmp_path / "absent.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["scan-theta", "fit"])
+def test_directory_as_input_exits_2_not_as_output_error(tmp_path, capsys,
+                                                        command):
+    # a directory, since permission bits do not stop a root reader
+    out = tmp_path / "out"
+    assert main([command, str(tmp_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read input: ") and str(tmp_path) in err
+    assert not out.exists()
+
+
+#: (scan CSV text, the line its error names)
+BAD_SCAN_CSVS = [
+    ("", 1),
+    ("\n\n", 1),
+    ("setting_rad,p_joint,p_conditional,counts\n0.0,,0.5,\n\n0.5,0.25\n", 4),
+    ("setting_rad,p_joint,p_conditional,counts\n0.0,,half,\n", 2),
+]
+
+
+@pytest.mark.parametrize("text, line", BAD_SCAN_CSVS,
+                         ids=["empty", "blank", "short-row", "bad-number"])
+def test_unreadable_scan_csv_exits_2_and_names_the_line(tmp_path, capsys,
+                                                        text, line):
+    path = tmp_path / "scan.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["fit", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.rstrip().endswith(f"{path} (line {line})")
+
+
 # ---------------------------------------------------------------------------
 # byte stability of the demo outputs
 
