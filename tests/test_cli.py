@@ -718,7 +718,7 @@ def test_config_matrix_outputs_are_byte_stable(tmp_path, case):
                (tmp_path / sub / name).read_bytes()).hexdigest()
            for sub in MATRIX_COMMANDS
            for name in sorted(os.listdir(tmp_path / sub))
-           if "summary" not in name or sub == "timeline"}
+           if name != "scan_theta_summary.csv"}  # the one file with fit fields
     assert got == MATRIX_DIGESTS[case]
 
 
