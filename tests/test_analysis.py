@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from oam_eraser import analysis
 from oam_eraser.analysis import (
-    ComplementarityRecord,
-    FringeFit,
     TwoPathModel,
     calibrate_extinction,
     complementarity_check,

@@ -710,16 +710,22 @@ def test_event_records_leave_gc_as_found(enabled):
         (gc.enable if was else gc.disable)()
 
 
-def _random_streams(rng):
+def _random_streams(rng, lone_pairs=False):
     """Two sorted click streams: correlated pairs under jitter and a delay,
-    plus singles, at a random density of clicks per gate."""
+    plus singles, at a random density of clicks per gate.  With
+    ``lone_pairs`` the clicks are a thousand times sparser, the singles a
+    tenth as many, and delay plus jitter stay inside the gate, so most
+    clusters are one click on each arm."""
     gate = 10 ** rng.uniform(-3.0, 0.0)
     per_gate = 10 ** rng.uniform(-2.0, 1.0)
     n_pairs, n_a, n_b = rng.integers(0, 120, 3)
+    reach = 2.0  # the largest delay, in gates
+    if lone_pairs:
+        per_gate, n_a, n_b, reach = per_gate / 1000.0, n_a // 10, n_b // 10, 0.5
     span = max(n_pairs + max(n_a, n_b), 1) * gate / per_gate
     pairs = rng.uniform(0.0, span, n_pairs)
-    shift = rng.choice([0.0, rng.uniform(-2.0, 2.0) * gate])
-    jitter = rng.uniform(0.0, 1.5) * gate
+    shift = rng.choice([0.0, rng.uniform(-reach, reach) * gate])
+    jitter = rng.uniform(0.0, 0.75 * reach) * gate
     times_a = np.sort(np.concatenate([pairs, rng.uniform(0.0, span, n_a)]))
     times_b = np.sort(np.concatenate([
         pairs + shift + rng.uniform(-jitter, jitter, n_pairs),
@@ -733,6 +739,21 @@ def test_matcher_agrees_with_walk_on_random_streams():
         times_a, times_b, gate = _random_streams(rng)
         assert _count_coincidences(times_a, times_b, gate) == \
             greedy_coincidences(times_a, times_b, gate)
+
+
+def test_matcher_agrees_with_walk_on_lone_pairs():
+    rng = np.random.default_rng(20261019)
+    sizes = []
+    for _ in range(300):
+        times_a, times_b, gate = _random_streams(rng, lone_pairs=True)
+        assert _count_coincidences(times_a, times_b, gate) == \
+            greedy_coincidences(times_a, times_b, gate)
+        merged = np.sort(np.concatenate([times_a, times_b]))
+        cuts = np.flatnonzero(np.diff(merged) > gate) + 1
+        sizes += np.diff(np.concatenate([[0], cuts, [len(merged)]])).tolist()
+    sizes = np.array(sizes)
+    assert np.count_nonzero(sizes == 2) > len(sizes) / 2
+    assert np.count_nonzero(sizes > 2) > 0  # the walk still runs sometimes
 
 
 #: (clicks on A, clicks on B, gate, coincidences); dyadic times, so every
@@ -750,6 +771,16 @@ MATCHER_CASES = {
     "arm A empty": ([], [1.0, 2.0], 1.0, 0),
     "arm B empty": ([1.0], [], 1.0, 0),
     "both arms empty": ([], [], 1.0, 0),
+    "two clicks on one arm within the gate": ([1.0, 1.125], [3.0, 3.0625],
+                                              0.25, 0),
+    "lone pair exactly a gate apart": ([0.0, 2.25], [0.25, 2.0], 0.25, 2),
+    "lone pair a gate and an ulp apart": ([0.0], [np.nextafter(0.25, 1.0)],
+                                          0.25, 0),
+    "lone pair a gap away from three clicks": ([1.0, 1.5, 1.625],
+                                               [1.125, 1.5625], 0.25, 2),
+    "only lone pairs": (list(np.arange(8.0)),
+                        list(np.arange(8.0) + np.resize([0.125, -0.25], 8)),
+                        0.25, 8),
     "one cluster across the stream": (list(np.arange(96) * 0.375),
                                       list(np.arange(80) * 0.5 + 0.0625),
                                       0.5, None),
@@ -796,6 +827,33 @@ def test_timeline_frequency_converges_to_probability():
     n = config.counting.pair_rate * duration
     frequency = coincidences / n
     assert abs(frequency - joint) < 3.0 * math.sqrt(joint * (1 - joint) / n)
+
+
+def test_true_pair_clicks_are_poisson_at_the_detected_pair_rate():
+    """Detected pairs form a Poisson process at ``pair_rate * joint``, with
+    singles and an arm delay on.  Over 300 seeds the true-pair click count
+    per run has mean and variance ``mu = pair_rate * joint * T`` (43.5
+    here): the sample mean within 4 standard errors, ``sqrt(mu / n)``, and
+    the sample variance within 4 of its standard errors,
+    ``sqrt(mu4 / n - mu**2 * (n - 3) / (n * (n - 1)))`` with the Poisson
+    fourth central moment ``mu4 = mu * (1 + 3 * mu)``."""
+    alpha, theta, duration = math.pi / 4, 0.3, 0.1
+    config = timeline_config(seed=0, pair_rate=4000.0, singles=3000.0,
+                             delay_m=4.5)
+    joint, _ = coincidence_probability(config, alpha, theta)
+    pairs = []
+    for seed in range(300):
+        seeded = replace(config, counting=replace(config.counting, seed=seed))
+        events, _ = simulate_timeline(seeded, alpha, theta, duration)
+        on_a, on_b = int(events.true_pair_a.sum()), int(events.true_pair_b.sum())
+        assert on_a == on_b
+        pairs.append(on_a)
+    n, mu = len(pairs), config.counting.pair_rate * joint * duration
+    assert 40.0 < mu < 50.0
+    mu4 = mu * (1.0 + 3.0 * mu)
+    assert abs(np.mean(pairs) - mu) <= 4.0 * math.sqrt(mu / n)
+    assert abs(np.var(pairs, ddof=1) - mu) <= \
+        4.0 * math.sqrt(mu4 / n - mu ** 2 * (n - 3) / (n * (n - 1)))
 
 
 def test_scan_counts_and_timeline_agree_on_accidentals():
