@@ -16,7 +16,9 @@ stays on the sparse element operators as an independent reference.
 
 Counted data is simulated with counter-based RNG streams keyed by
 ``(seed, repetition, point index)``, so results do not depend on the
-order in which scan points are evaluated.
+order in which scan points are evaluated.  The event timeline draws only
+the detected pairs, a Poisson process at ``pair_rate * joint``, and its
+singles, each from its own ``SeedSequence(seed, spawn_key=(stream,))``.
 """
 
 from __future__ import annotations
@@ -496,11 +498,13 @@ def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,
                       duration: float):
     """Event-by-event Monte Carlo of the gated coincidence counter.
 
-    Pair emissions form a Poisson process at ``pair_rate``; each pair
-    yields a detector click on both arms with probability equal to the
-    joint detection probability, time-shifted by any per-arm delay
-    element.  Uncorrelated accidental singles are injected at the
-    configured rates.  Two clicks coincide when ``|t_A - t_B| <= gate``.
+    Pair emissions form a Poisson process at ``pair_rate``, each detected
+    with the joint detection probability; thinned so, they are Poisson at
+    ``pair_rate * joint`` (Lewis and Shedler 1979), and the detected pairs
+    are drawn directly from stream 1.  Each clicks on both arms, shifted by
+    any per-arm delay element.  Uncorrelated accidental singles are
+    injected at the configured rates (streams 3 and 4).  Two clicks
+    coincide when ``|t_A - t_B| <= gate``.
 
     Returns ``(events, coincidences)``: an :class:`EventTable` with each
     arm's clicks in time order (a true-pair click first on equal times),
@@ -513,13 +517,12 @@ def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,
     joint, _ = coincidence_probability(config, alpha, theta)
 
     # seeded before the draws, so that a bad seed keeps its own error
-    emit, keep, *singles = (
+    pairs, *singles = (
         np.random.default_rng(np.random.SeedSequence(cm.seed, spawn_key=(stream,)))
-        for stream in (1, 2, 3, 4))
+        for stream in (1, 3, 4))
     try:
-        n_pairs = emit.poisson(cm.pair_rate * duration)
-        pair_times = np.sort(emit.uniform(0.0, duration, n_pairs))
-        pair_times = pair_times[keep.random(n_pairs) < joint]
+        pair_times = np.sort(pairs.uniform(
+            0.0, duration, pairs.poisson(cm.pair_rate * joint * duration)))
 
         def arm_clicks(arm: str, r: np.random.Generator, rate: float):
             times = pair_times + config.arm_delay(arm)
@@ -546,26 +549,32 @@ def _count_coincidences(times_a: np.ndarray, times_b: np.ndarray,
     The count equals a walk with one pointer per stream: the current clicks
     match when ``|t_A - t_B| <= gate`` and both pointers advance; otherwise
     the earlier click is dropped.  Rounded subtraction is monotone, so no
-    match spans a gap wider than the gate in the merged stream.  The walk
-    therefore runs on all clusters between such gaps at once, one step per
-    round, until every cluster has run out of clicks on one arm.
+    match spans a gap wider than the gate in the merged stream, which cuts
+    it into clusters.  A cluster of two clicks is one match if they are on
+    different arms (their gap is ``|t_A - t_B|``) and none otherwise, so
+    one elementwise pass counts those.  The walk runs on the clusters of
+    three or more clicks on both arms at once, one step per round, until
+    every cluster has run out of clicks on one arm.
     """
     n_a = len(times_a)
     if n_a == 0 or len(times_b) == 0:
         return 0
     stream = np.concatenate([times_a, times_b])
     order = np.argsort(stream, kind="stable")  # merges the two sorted runs
-    cuts = np.flatnonzero(np.diff(stream[order]) > gate) + 1
-    # cluster edges: positions in the merged stream, then in each arm
-    edges = np.concatenate([[0], cuts, [len(stream)]])
-    edges_a = np.concatenate([[0], np.cumsum(order < n_a)[cuts - 1], [n_a]])
-    edges_b = edges - edges_a
-    both = (edges_a[:-1] < edges_a[1:]) & (edges_b[:-1] < edges_b[1:])
-    # one column per cluster with clicks on both arms: pointer and end on A,
-    # then on B
-    walk = np.stack([edges_a[:-1][both], edges_a[1:][both],
-                     edges_b[:-1][both], edges_b[1:][both]])
-    matched = 0
+    on_a = order < n_a
+    # True where a cluster starts, and once past the last click
+    starts = np.concatenate([[True], np.diff(stream[order]) > gate, [True]])
+    matched = int(np.count_nonzero(starts[:-2] & ~starts[1:-1] & starts[2:]
+                                   & (on_a[:-1] != on_a[1:])))
+    edges = np.flatnonzero(starts)
+    longer = np.diff(edges) > 2
+    first, end = edges[:-1][longer], edges[1:][longer]
+    # one column per cluster of three or more clicks: pointer and end on A,
+    # then on B; an edge's position on A counts the clicks on A before it
+    a_before = np.flatnonzero(on_a).searchsorted
+    first_a, end_a = a_before(first), a_before(end)
+    walk = np.stack([first_a, end_a, first - first_a, end - end_a])
+    walk = walk[:, (first_a < end_a) & (first - first_a < end - end_a)]
     while walk.shape[1]:
         i, end_a, j, end_b = walk
         dt = times_a[i] - times_b[j]
