@@ -563,9 +563,9 @@ DEMO_DIGESTS = {
     "scan_grid.csv":
         "fbc76b4befb10a003fb777fdc90e5fe36de52c95d535065f5d49749c226a0007",
     "timeline_events.csv":
-        "ff943cabbc53bf4f452b74fc7a723464b5470a7d5202626dd82dbbfad92e31b8",
+        "56b515c1a7fda7328fd36fe07a52a9254072ad0f6bda944e1535a723271f60df",
     "timeline_summary.csv":
-        "58de79147f4214443b1addc599fd4d8c262094ed9d8cedff0133c98409dd6525",
+        "87ae108c6f8ec4d55ca5c8503c2aa0894fb251dcbe90939b41b85e65c7277862",
     "pattern.csv":
         "6852db9bcca24db497fb23c808e007b3f631515ec37cfbf175292ad9c060d83e",
     "pattern.svg":
@@ -601,13 +601,13 @@ def test_accidental_timeline_is_byte_stable(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["timeline", str(path), "--duration-s", "0.02",
                  "--out-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.startswith("timeline: 892 coincidences")
+    assert capsys.readouterr().out.startswith("timeline: 900 coincidences")
     summary = (tmp_path / "timeline_summary.csv").read_text().splitlines()
-    assert "coincidences,892" in summary and "events,5125" in summary
+    assert "coincidences,900" in summary and "events,5135" in summary
     events = (tmp_path / "timeline_events.csv").read_bytes()
     assert b",accidental\n" in events
     assert hashlib.sha256(events).hexdigest() == \
-        "1ebe342cc761cc7883cb0f9729d38d45f64c303d6949faafe20e3329005b1777"
+        "f9762bf463ac56ec712566739965fb63b45065c22649dbbacb22ef3c5d234165"
 
 
 #: the demo config with one set of overrides per case: between them both
@@ -652,9 +652,9 @@ MATRIX_DIGESTS = {
         "grid/scan_grid.csv":
             "0dab4606836f567ebec699c182f15466d39b1a5d382703cfb274780c12f670dd",
         "timeline/timeline_events.csv":
-            "645877bff63a8e721675562a0e90cd693827091bfbd1fa7119c022be9ce0c9d1",
+            "6e1b86400dde59bb5d0c4242c06dc79e9183fa5d9192b45ca9be4252b9a50e88",
         "timeline/timeline_summary.csv":
-            "472abc1f9239957def4c63c52bad685e99a759dc8d2a4481017f231d3232cda0",
+            "3031b858170927ede6c038201cdb08323781bcf82e1833eaa7be5a80d852b539",
         "pattern/pattern.csv":
             "6852db9bcca24db497fb23c808e007b3f631515ec37cfbf175292ad9c060d83e",
         "pattern/pattern.svg":
@@ -672,9 +672,9 @@ MATRIX_DIGESTS = {
         "grid/scan_grid.csv":
             "fbc76b4befb10a003fb777fdc90e5fe36de52c95d535065f5d49749c226a0007",
         "timeline/timeline_events.csv":
-            "c3b79906c2807ee296648d9acb4b6b907bc0ed2c6e5a9083aba09c3844a6be6c",
+            "467711017f60910024bd1b0e979e5f2b55ffc6ae3fa0377a7f9536ce8fcc7b5f",
         "timeline/timeline_summary.csv":
-            "8d729d2759718c42ffecccfae90187f07cb2db0363cb33723d5a5a7b3a064d23",
+            "3c3fd53a653f085d8e37ed5beb40c96db5325563c340b25ed88ca7ccad8af214",
         "pattern/pattern.csv":
             "f063d582b7f6f8bdbee8cbe72b708aaf7b568a83bd9836f4ec70bb2307ebac5f",
         "pattern/pattern.svg":
@@ -692,9 +692,9 @@ MATRIX_DIGESTS = {
         "grid/scan_grid.csv":
             "fbc76b4befb10a003fb777fdc90e5fe36de52c95d535065f5d49749c226a0007",
         "timeline/timeline_events.csv":
-            "9ea86af1dc05946ac98a78e44f363febdbede36b5f88be9ebd912f2f8ef5482f",
+            "8ad54aa4f435deb9818328917a43b8920d1d4b4fe14d985a02e5e5ba0c015cc6",
         "timeline/timeline_summary.csv":
-            "95453e3b564bd956dfde8ec5ca35026534e3d9808c0e82736dc124a91db58d22",
+            "41ac89fbe6429ea2964c598f2b591da01e02ecb11c9a49dae0d44cd84c1b82de",
         "pattern/pattern.csv":
             "6852db9bcca24db497fb23c808e007b3f631515ec37cfbf175292ad9c060d83e",
         "pattern/pattern.svg":
@@ -734,7 +734,7 @@ DEMO_STDOUT_DIGESTS = {
     "02_eraser_fringes":
         "8fe360058f5100bbd1188ed83ddbfebf8c825e704ae356cba4d4bab2f22a4e2a",
     "03_delayed_choice_timeline":
-        "b3518df3b83f4f2390f3c5f46dcb918983aec692c0693b02414e8f0ff10a9b26",
+        "d37dca37d7637dec91aa4f7202a35c06132f1c3553650f824d716f22a2d4c2d8",
     "04_sector_masks":
         "fa549182e45a09d1b8880b02f770f1c463e1f0d55ed0511bacda5b12e9f58caa",
     "05_which_path_tradeoff":
