@@ -26,7 +26,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from types import MappingProxyType
 from typing import NamedTuple
@@ -215,13 +215,12 @@ class EventTable:
         # Records are flat tuples of atoms and form no cycles, so the cyclic
         # collector, which a large build would trigger again and again, is
         # paused while they are made and then put back as it was.
-        record = partial(tuple.__new__, EventRecord)  # skips the Python __new__
         enabled = gc.isenabled()
         gc.disable()
-        try:
+        try:  # tuple.__new__ skips the Python __new__
             return tuple(chain.from_iterable(
-                map(record, zip(repeat(arm), times.tolist(),
-                                map(TAGS.__getitem__, true_pair.tolist())))
+                map(tuple.__new__, repeat(EventRecord), zip(
+                    repeat(arm), times.tolist(), map(TAGS.__getitem__, true_pair.tolist())))
                 for arm, times, true_pair in self.arms()))
         finally:
             if enabled:
