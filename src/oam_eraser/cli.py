@@ -12,8 +12,9 @@ Subcommands (one per measurement style):
 Each handler reads its input and computes, and returns its files and a
 summary line; :func:`main` writes the files, then prints the line.
 
-Exit codes: 0 success, 2 configuration error or unreadable input, 3 null
-pipeline (an element extinguished the state), 4 output I/O error.
+Exit codes: 0 success, 2 configuration error, input error (a scan CSV
+``fit`` cannot use) or unreadable input, 3 null pipeline (an element
+extinguished the state), 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ def main(argv=None) -> int:
         print(f"null pipeline: {exc}", file=sys.stderr)
         return EXIT_NULL
     except (ValueError, TypeError) as exc:  # ConfigError among them
-        print(f"configuration error: {exc}", file=sys.stderr)
+        label = "input error" if args.command == "fit" else "configuration error"
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         output.write_outputs(args.out_dir, files)

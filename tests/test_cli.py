@@ -544,7 +544,7 @@ def test_unreadable_scan_csv_exits_2_and_names_the_line(tmp_path, capsys,
     path.write_text(text, encoding="utf-8")
     assert main(["fit", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
+    assert err.startswith("input error: ")
     assert err.rstrip().endswith(f"{path} (line {line})")
 
 
