@@ -567,13 +567,13 @@ def _count_coincidences(times_a: np.ndarray, times_b: np.ndarray,
                                    & (on_a[:-1] != on_a[1:])))
     edges = np.flatnonzero(starts)
     longer = np.diff(edges) > 2
-    first, end = edges[:-1][longer], edges[1:][longer]
-    # one column per cluster of three or more clicks: pointer and end on A,
-    # then on B; an edge's position on A counts the clicks on A before it
+    first, stop = edges[:-1][longer], edges[1:][longer]
+    # one column per cluster of three or more clicks on both arms: pointer
+    # and end on A, then on B; an edge's place on A counts clicks on A before it
     a_before = np.flatnonzero(on_a).searchsorted
-    first_a, end_a = a_before(first), a_before(end)
-    walk = np.stack([first_a, end_a, first - first_a, end - end_a])
-    walk = walk[:, (first_a < end_a) & (first - first_a < end - end_a)]
+    first_a, stop_a = a_before(first), a_before(stop)
+    walk = np.stack([first_a, stop_a, first - first_a, stop - stop_a])
+    walk = walk[:, (first_a < stop_a) & (first - first_a < stop - stop_a)]
     while walk.shape[1]:
         i, end_a, j, end_b = walk
         dt = times_a[i] - times_b[j]
