@@ -1,10 +1,10 @@
 """Bit-stable result emission: CSV tables and minimal SVG plots.
 
 Floating-point values are printed as ``%.12g`` and files use LF line endings,
-so identical inputs always produce byte-identical files; the events CSV rounds
-its times in numpy and leaves Python's ``%`` to the rows events_csv lists.
-The SVG writers are deliberately tiny (axes, polyline, labels) to keep the
-output diffable.
+so identical inputs always produce byte-identical files.  The events CSV
+rounds its times in numpy, prints their digits four at a time from a table,
+and leaves Python's ``%`` to the rows events_csv lists.  The SVG writers are
+deliberately tiny (axes, polyline, labels) to keep the output diffable.
 """
 
 from __future__ import annotations
@@ -86,17 +86,21 @@ _POW10 = np.array([float(10 ** k) for k in range(17)])
 #: "00".."99" as two ASCII bytes each, then the same with trailing zeros NUL
 _PAIRS = np.frombuffer("".join([f"{i:02d}" for i in range(100)] + [
     f"{i:02d}".rstrip("0").ljust(2, "\0") for i in range(100)]).encode(), "<u2")
+_QUADS = np.empty((2, 100, 100, 2), "<u2")  # plain or stripped, high, low pair
+_QUADS[..., 0], _QUADS[..., 1] = _PAIRS[:100, None], _PAIRS.reshape(2, 1, 100)
+_QUADS[1, :, 0, 0] = _PAIRS[100:]  # a high pair strips when its low pair is 00
+_QUADS = _QUADS.view("<u4").ravel()  # "0000".."9999", then trailing zeros NUL
 
 
 def events_csv(events: EventTable) -> str:
     """One row per click, arm A then arm B, each time printed as ``%.12g``.
 
     With ``e = floor(log10 t)``, the 12-digit mantissa ``m = rint(t *
-    10**(11 - e))`` gives the digits, trailing zeros stripped as ``%g``
-    strips them.  A time that is not finite or not positive, lies below
-    1e-4 (e-form), has ``m`` outside ``[1e11, 1e12)`` (a carry to the next
-    power of ten, 1e12 and up, or ``log10`` one off) or lies within 1e-3 of
-    a rounding tie is printed by Python's ``%`` instead, so every byte
+    10**(11 - e))`` gives the digits, three groups of four, with trailing zeros
+    stripped as ``%g`` strips them.  A time that is not finite or not positive,
+    lies below 1e-4 (e-form), has ``m`` outside ``[1e11, 1e12)`` (a carry to
+    the next power of ten, 1e12 and up, or ``log10`` one off) or lies within
+    1e-3 of a rounding tie is printed by Python's ``%`` instead, so every byte
     matches ``%.12g``.  Rows go in blocks of ``_CHUNK`` into one buffer.
     """
     head = b"arm,timestamp_s,tag\n"
@@ -116,19 +120,20 @@ def events_csv(events: EventTable) -> str:
 
 
 def _event_rows(arm, t, true_pair) -> np.ndarray:
-    """The CSV bytes of one block of rows of one arm."""
+    """The CSV bytes of one block of rows of one arm; a digit group is stripped
+    (trailing zeros NUL) when all groups after it are zero, the last always."""
     ok = np.isfinite(t) & (t > 0.0)
     s = np.where(ok, t, 1.0)
     e = np.clip(np.floor(np.log10(s)), -5, 11).astype(np.int64)
     x = s * _POW10[11 - e]
     m = np.rint(x)
     fallback = ~ok | (e < -4) | (m < 1e11) | (m >= 1e12) | (abs(x - m) > 0.499)
-    q, strip = np.where(fallback, 1e11, m).astype(np.int64), True
-    digits = np.zeros((len(t), 7), "<u2")  # 12 digit bytes and 2 NUL
-    for j in range(5, -1, -1):
-        q, r = np.divmod(q, 100)
-        digits[:, j] = _PAIRS[r + 100 * strip]
-        strip = strip & (r == 0)
+    top, q = np.divmod(np.where(fallback, 1e11, m).astype(np.int64), 10 ** 8)
+    mid, low = np.divmod(q, 10 ** 4)
+    digits = np.zeros((len(t), 4), "<u4")  # 12 digit bytes and 4 NUL
+    digits[:, 2] = _QUADS[low + 10_000]
+    digits[:, 1] = _QUADS[mid + 10_000 * (low == 0)]
+    digits[:, 0] = _QUADS[top + 10_000 * (q == 0)]
     digits = digits.view(np.uint8)
     # per tag, a row template: arm, 19-byte time field, tag; NULs are dropped
     lines = np.array([f"{arm},0.000".ljust(len(arm) + 20, "\0") + f",{tag}\n"

@@ -32,9 +32,12 @@ def workloads(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("kind", ["timeline", "burst"])
+@pytest.mark.parametrize("kind", ["timeline", "burst", "timeline-max"])
 def test_timeline_op_passes_its_own_check(workloads, kind):
-    op = workloads.Timeline(seed=7, oe=oam_eraser)._op(2e3, kind=kind)
+    # timeline-max is the bench's largest op: many blocks of events_csv per arm
+    events, pair_rate = (3e5, 1e6) if kind == "timeline-max" else (2e3, None)
+    op = workloads.Timeline(seed=7, oe=oam_eraser)._op(events, pair_rate=pair_rate,
+                                                       kind=kind)
     result = op.call()
     op.check(result)
     assert op.work(result) == len(result[0]) > 0

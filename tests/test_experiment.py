@@ -668,6 +668,25 @@ def test_events_csv_matches_percent_oracle():
         _assert_matches_percent(table)
 
 
+def test_events_csv_digit_groups_match_percent_oracle():
+    # 12-digit mantissas that end in one, two or three zero groups of four
+    # digits, or have a zero middle group, at exponents -6..13, on both
+    # arms and across a block edge
+    rng = np.random.default_rng(18)
+    mantissas = ["100000000000", "123400000000", "123456780000",
+                 "100000001234", "100000000001"]
+    cases = [float(f"{d}e{p - 11}") for d in mantissas for p in range(-6, 14)]
+    fill = np.sort(rng.uniform(0.0, 2.0, output._CHUNK - len(cases) // 2))
+    _assert_matches_percent(_table(np.concatenate([fill, cases]),
+                                   np.concatenate([fill, cases[::-1]]), rng))
+
+
+def test_digit_group_table_matches_fstrings():
+    quads = [f"{i:04d}" for i in range(10_000)]
+    want = "".join(quads + [q.rstrip("0").ljust(4, "\0") for q in quads])
+    assert np.array_equal(output._QUADS, np.frombuffer(want.encode(), "<u4"))
+
+
 def test_events_csv_chunk_boundaries():
     rng = np.random.default_rng(16)
     n = 2 * output._CHUNK + 37
@@ -818,7 +837,9 @@ def test_timeline_is_deterministic_per_seed():
 
 
 def test_timeline_frequency_converges_to_probability():
-    # coincidence frequency vs the exact joint probability, binomial bound
+    # coincidence frequency vs the exact joint probability: the count is
+    # Poisson with variance n * joint, so 3 standard errors are
+    # 3 * sqrt(joint / n)
     alpha, theta = math.pi / 8, 0.4
     config = timeline_config(seed=37, pair_rate=4000.0)
     joint, _ = coincidence_probability(config, alpha, theta)
@@ -826,7 +847,7 @@ def test_timeline_frequency_converges_to_probability():
     _, coincidences = simulate_timeline(config, alpha, theta, duration)
     n = config.counting.pair_rate * duration
     frequency = coincidences / n
-    assert abs(frequency - joint) < 3.0 * math.sqrt(joint * (1 - joint) / n)
+    assert abs(frequency - joint) < 3.0 * math.sqrt(joint / n)
 
 
 def test_true_pair_clicks_are_poisson_at_the_detected_pair_rate():
