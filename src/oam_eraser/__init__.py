@@ -11,7 +11,6 @@ distinguishability.
 from .hilbert import (
     JointKet,
     LocalKet,
-    LocalOperator,
     OamOverflowError,
     apply_local,
     basis_ket,

@@ -165,24 +165,28 @@ def fitted_visibility(config: ExperimentConfig):
     return point.visibility, point.fit
 
 
-def calibrate_extinction(config_builder, target_visibility: float,
-                         bracket=(0.0, 0.8), tol: float = 1e-7) -> float:
+#: the leak range :func:`calibrate_extinction` searches, and its final width
+LEAK_BRACKET, LEAK_TOL = (0.0, 0.8), 1e-7
+
+
+def calibrate_extinction(config_builder, target_visibility: float) -> float:
     """Solve for the polarizer leak at which the fitted visibility hits a target.
 
     ``config_builder(extinction)`` must return the experiment to evaluate;
-    the fitted visibility must be monotone in the leak across ``bracket``.
-    Returns the midpoint of a sign-change bracket no wider than ``tol``.
+    the fitted visibility must be monotone in the leak across
+    ``LEAK_BRACKET``.  Returns the midpoint of a sign-change bracket no
+    wider than ``LEAK_TOL``.
 
     Each step is an ITP step (interpolate, truncate, project; Oliveira &
     Takahashi, ACM TOMS 47(1):5, 2020) with ``kappa1 = 0.2/(hi - lo)``,
     ``kappa2 = 2`` and ``n0 = 1``: a regula falsi point, nudged toward the
     midpoint, then kept close enough to it that after step ``k`` the
     bracket is no wider than bisection's after ``k - 1`` steps.  So a
-    calibration takes at most ``ceil(log2((hi - lo)/tol)) + 1`` steps, one
-    more than bisection, and on the smooth misfit of a polarizer leak
+    calibration takes at most ``ceil(log2(0.8/LEAK_TOL)) + 1 = 24`` steps,
+    one more than bisection, and on the smooth misfit of a polarizer leak
     about 7 (bisection: 23).
     """
-    lo, hi = bracket
+    lo, hi = LEAK_BRACKET
 
     def misfit(e: float) -> float:
         vis, _ = fitted_visibility(config_builder(e))
@@ -197,7 +201,7 @@ def calibrate_extinction(config_builder, target_visibility: float,
         raise ValueError("target visibility not bracketed by the leak range")
     kappa1 = 0.2 / (hi - lo)
     cap = hi - lo  # the widest bracket the next step may leave
-    while hi - lo > tol:
+    while hi - lo > LEAK_TOL:
         mid = 0.5 * (lo + hi)
         # interpolate, then truncate toward the midpoint
         guess = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
@@ -289,6 +293,8 @@ def render_azimuthal_pattern(ell: int, intermodal_phase: float, grid_n: int,
     """
     if grid_n < 4 * abs(ell) + 1:
         raise ValueError("undersampled azimuthal grid")
+    if not math.isfinite(intermodal_phase):
+        raise ValueError(f"non-finite intermodal phase {intermodal_phase!r}")
     phi = azimuthal_grid(grid_n)
     w_plus, w_minus = complex(weights[0]), complex(weights[1])
     total = abs(w_plus) ** 2 + abs(w_minus) ** 2

@@ -146,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid polarization-OAM quantum-eraser simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("config", help="experiment configuration file")
+    def common(p):
+        p.add_argument("config", help="experiment configuration file")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the counting seed")

@@ -55,9 +55,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """What to sweep: hologram angle, polarizer angle, or the full grid."""
+    """The angles to sweep; the subcommand picks the hologram angle, the
+    polarizer angle or the full grid."""
 
-    variable: str = "theta"
     theta_start: float = 0.0
     theta_stop: float = TWO_PI
     theta_points: int = 72
@@ -66,8 +66,6 @@ class ScanSpec:
     alpha_points: int = 9
 
     def __post_init__(self):
-        if self.variable not in ("theta", "alpha", "grid"):
-            raise ValueError(f"unknown scan variable {self.variable!r}")
         if self.theta_points < 1 or self.alpha_points < 1:
             raise ValueError("scan needs at least one point")
 
@@ -130,7 +128,6 @@ _SINGLES = {
         "seed": ("seed", int),
     },),
     "scan": ({
-        "variable": ("variable", str),
         "theta_start_rad": ("theta_start", float),
         "theta_stop_rad": ("theta_stop", float),
         "theta_points": ("theta_points", int),

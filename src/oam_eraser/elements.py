@@ -1,7 +1,7 @@
 """Optical element catalog.
 
-Each element spec compiles to a :class:`~oam_eraser.hilbert.LocalOperator`
-of one to four terms acting on one arm:
+Each element spec compiles to a tuple of one to four operator terms on one
+arm, in the format of :func:`~oam_eraser.hilbert.apply_local`:
 
     wave plate   its Jones matrix, on every OAM index
     polarizer    the projector ``t t^T`` onto its transmission state
@@ -35,7 +35,6 @@ from .hilbert import (
     L_CAP,
     POL_IDENTITY,
     JointKet,
-    LocalOperator,
     apply_local,
     postselect_local,
 )
@@ -185,7 +184,7 @@ _QPLATE_UP = ((0.5 + 0.0j, 0.5j), (0.5j, -0.5 + 0.0j))
 _QPLATE_DOWN = ((0.5 + 0.0j, -0.5j), (-0.5j, -0.5 + 0.0j))
 
 
-def qplate_operator(spec: QPlateSpec) -> LocalOperator:
+def qplate_operator(spec: QPlateSpec) -> tuple:
     """Spin-orbit coupling rules of a q-plate.
 
     ``|ell>|R> -> |ell + 2q>|L>`` and ``|ell>|L> -> |ell - 2q>|R>``: the
@@ -194,7 +193,7 @@ def qplate_operator(spec: QPlateSpec) -> LocalOperator:
     is ``[[1, i], [i, -1]]/2`` and the down-shift block is its conjugate.
     """
     shift = round(2.0 * spec.q)
-    return LocalOperator(((_QPLATE_UP, None, shift), (_QPLATE_DOWN, None, -shift)))
+    return (_QPLATE_UP, None, shift), (_QPLATE_DOWN, None, -shift)
 
 
 def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
@@ -219,9 +218,9 @@ def waveplate_jones(kind: str, fast_axis: float) -> np.ndarray:
     return np.array([[d00, d01], [d01, d11]], dtype=complex)
 
 
-def waveplate_operator(spec: WavePlateSpec) -> LocalOperator:
+def waveplate_operator(spec: WavePlateSpec) -> tuple:
     jones = waveplate_jones(spec.kind, spec.fast_axis).tolist()
-    return LocalOperator(((tuple(map(tuple, jones)), None, 0),))
+    return ((tuple(map(tuple, jones)), None, 0),)
 
 
 def transmission_state(alpha, extinction: float) -> np.ndarray:
@@ -239,16 +238,16 @@ def transmission_state(alpha, extinction: float) -> np.ndarray:
     return t
 
 
-def polarizer_operator(spec: PolarizerSpec) -> LocalOperator:
+def polarizer_operator(spec: PolarizerSpec) -> tuple:
     """Projector ``t t^T`` onto the (real) transmission state ``t``."""
     t = transmission_state(spec.alpha, spec.extinction).tolist()
     pol = tuple(tuple(complex(t_out * t_in) for t_in in t) for t_out in t)
-    return LocalOperator(((pol, None, 0),))
+    return ((pol, None, 0),)
 
 
-def fiber_operator(spec: FiberSpec) -> LocalOperator:
+def fiber_operator(spec: FiberSpec) -> tuple:
     """OAM mask: passes ``accepted_ell`` in either polarization."""
-    return LocalOperator(((POL_IDENTITY, spec.accepted_ell, 0),))
+    return ((POL_IDENTITY, spec.accepted_ell, 0),)
 
 
 def sector_coefficients(theta) -> np.ndarray:
@@ -264,7 +263,7 @@ def sector_coefficients(theta) -> np.ndarray:
     return np.stack((np.full_like(minus, root), minus), axis=-1)
 
 
-def sector_projector(spec: HologramSpec) -> LocalOperator:
+def sector_projector(spec: HologramSpec) -> tuple:
     """Rank-1 projector (per polarization) onto the sector state.
 
     One term per pair of OAM indices ``a, b`` in ``{ell, -ell}``, mapping
@@ -279,7 +278,7 @@ def sector_projector(spec: HologramSpec) -> LocalOperator:
         for b, c_b in coeffs.items():
             w = scale * c_a * c_b.conjugate()
             terms.append((((w, 0.0j), (0.0j, w)), b, a - b))
-    return LocalOperator(tuple(terms))
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,9 @@ class SourceSpec:
     ``sum_l c_|l| |l>_A |-l>_B |H>_A |H>_B`` with a flat or Gaussian
     ``c_|l| ~ exp(-l^2 / (2 sigma_ell^2))`` spectrum over ``|l| <= l_max``.
     ``generic_two_path`` produces the fully marked two-path state
-    ``(|H>_A|+1>_B + |V>_A|-1>_B)/sqrt(2)`` used by the pattern analytics.
+    ``(|H>_A|+1>_B + |V>_A|-1>_B)/sqrt(2)``: a source that needs no arm-A
+    elements, whose polarization already marks arm B's OAM path, so the
+    analyzers alone show the eraser (``V = |sin 2 alpha|``).
     """
 
     kind: str = "spdc"
@@ -231,7 +233,6 @@ class EventTable:
 class ScanSeries:
     """One parameter scan: settings, probabilities and (optional) counts."""
 
-    scan_variable: str  # "theta" or "alpha"
     settings: tuple
     probabilities: tuple  # conditional detection probabilities
     joint_probabilities: tuple | None = None
@@ -296,25 +297,23 @@ def build_source_state(source: SourceSpec) -> JointKet:
 @lru_cache(maxsize=128)
 def _pipeline(source: SourceSpec, elements_a: tuple, elements_b: tuple):
     state = build_source_state(source)
-    cumulative = 1.0
     for arm, elems in (("A", elements_a), ("B", elements_b)):
         for i, spec in enumerate(elems):
-            state, prob = el.apply_element(spec, state)
+            state, _ = el.apply_element(spec, state)
             if state is None:
                 raise NullOutcomeError(
                     f"{el.element_name(spec)}[{arm}:{i}]")
-            cumulative *= prob
     # every caller shares the cached state, so hand out a read-only view
     state = JointKet(MappingProxyType(state.amplitudes), state.norm_tracked)
-    return state, cumulative
+    return state, state.norm_tracked
 
 
 def run_pipeline(config: ExperimentConfig):
     """Apply all configured elements (not the analyzers) in order.
 
     Returns ``(state, cumulative_probability)`` where the cumulative
-    probability is the product of every post-selection success along the
-    way (also tracked on ``state.norm_tracked``).  The state is cached per
+    probability is ``state.norm_tracked``, the product of every
+    post-selection success along the way.  The state is cached per
     ``(source, elements_a, elements_b)`` and its amplitudes are read-only.
     """
     return _pipeline(config.source, config.elements_a, config.elements_b)
@@ -388,8 +387,7 @@ def theta_scans(config: ExperimentConfig, alphas, thetas=None,
         thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
     joint, cond = conditional_grid(config, alphas, thetas)
     settings = tuple(np.asarray(thetas, dtype=float).tolist())
-    return [ScanSeries(scan_variable="theta", settings=settings,
-                       probabilities=tuple(row_cond),
+    return [ScanSeries(settings=settings, probabilities=tuple(row_cond),
                        joint_probabilities=tuple(row_joint))
             for row_joint, row_cond in zip(joint.tolist(), cond.tolist())]
 

@@ -6,10 +6,8 @@ angular momentum index.  States are sparse complex amplitude maps keyed by
 integer-coded labels; operations are pure functions returning new values,
 so everything here is safe to share across threads.
 
-A single-arm operator is a short tuple of terms, each a 2x2 polarization
-matrix acting on one input OAM index (or on every index) together with an
-OAM shift; :func:`apply_local` walks the state's amplitudes and emits one
-output label per term and output polarization.
+A single-arm operator is a tuple of terms, in the format :func:`apply_local`
+documents; it emits one output label per term and output polarization.
 
 Conventions, pinned once and regression-locked by the test suite:
 
@@ -185,9 +183,12 @@ def state_overlap(a: JointKet, b: JointKet) -> complex:
 # single-arm operators
 
 
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
-    """Operator on one arm's (polarization x OAM) space, as a sum of terms.
+#: Polarization part of the elements that act on OAM alone.
+POL_IDENTITY = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
+
+
+def apply_local(terms: tuple, arm: str, state: JointKet) -> JointKet:
+    """Apply an operator's terms to one arm, leaving the other arm untouched.
 
     A term ``(pol, ell_in, shift)`` sends ``|p, ell>`` to
     ``sum_q pol[q][p] |q, ell + shift>``, for ``ell == ell_in`` only or,
@@ -196,17 +197,6 @@ class LocalOperator:
     Python complex numbers, and ``shift`` is the OAM shift.  Labels that no
     term accepts are annihilated, which is how the post-selecting elements
     (fiber, hologram) act.
-    """
-
-    terms: tuple
-
-
-#: Polarization part of the elements that act on OAM alone.
-POL_IDENTITY = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
-
-
-def apply_local(op: LocalOperator, arm: str, state: JointKet) -> JointKet:
-    """Apply an operator to one arm, leaving the other arm untouched.
 
     Unitary operators preserve the norm; non-unitary ones generally do
     not, and callers that post-select should go through
@@ -219,7 +209,7 @@ def apply_local(op: LocalOperator, arm: str, state: JointKet) -> JointKet:
     out: dict = {}
     for key, amp in state.amplitudes.items():
         pol, ell = (key[0], key[1]) if arm == "A" else (key[2], key[3])
-        for mat, ell_in, shift in op.terms:
+        for mat, ell_in, shift in terms:
             if ell_in is not None and ell != ell_in:
                 continue
             ell_out = ell + shift
@@ -237,14 +227,14 @@ def apply_local(op: LocalOperator, arm: str, state: JointKet) -> JointKet:
     return JointKet(_prune(out), state.norm_tracked)
 
 
-def postselect_local(op: LocalOperator, arm: str, state: JointKet):
-    """Apply a non-unitary element and renormalize.
+def postselect_local(terms: tuple, arm: str, state: JointKet):
+    """Apply a non-unitary operator's terms and renormalize.
 
     Returns ``(state, probability)`` where the probability is the squared
     norm of the unnormalized result; a probability below ``NULL_TOL``
     yields ``(None, 0.0)`` (the null outcome).
     """
-    raw = apply_local(op, arm, state)
+    raw = apply_local(terms, arm, state)
     p = sum(abs(a) ** 2 for a in raw.amplitudes.values())
     if p < NULL_TOL:
         return None, 0.0
@@ -270,7 +260,7 @@ def project(state: JointKet, arm: str, target: LocalKet):
         (tuple(tuple(t.get((q, a), 0j) * t.get((p, b), 0j).conjugate()
                      for p in (POL_H, POL_V)) for q in (POL_H, POL_V)), b, a - b)
         for a in ells for b in ells)
-    return postselect_local(LocalOperator(terms), arm, state)
+    return postselect_local(terms, arm, state)
 
 
 def format_state(state: JointKet) -> str:

@@ -163,7 +163,8 @@ def pattern_csv(phis, intensity) -> str:
 
 
 def read_scan_csv(path) -> ScanSeries:
-    """Read a :func:`scan_csv` table back; a bad header or row raises a
+    """Read a :func:`scan_csv` table back; a bad header or row (a short row,
+    a cell that is no finite number, a negative count) raises a
     ``ValueError`` that names the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
@@ -174,16 +175,22 @@ def read_scan_csv(path) -> ScanSeries:
     for number, line in lines[1:]:
         try:
             setting, j, p, *c = line.split(",")
-            settings.append(float(setting))
-            joint.append(float(j) if j else None)
-            cond.append(float(p))
-            counts.append(int(c[0]) if c and c[0] else None)
-        except ValueError as exc:  # a short row, or a cell that is no number
+            cells = [float(setting), float(j) if j else 0.0, float(p)]
+            count = int(c[0]) if c and c[0] else None
+            if not all(map(math.isfinite, cells)):
+                raise ValueError(f"non-finite cell in {line!r}")
+            if count is not None and count < 0:
+                raise ValueError(f"negative count {count}")
+        except ValueError as exc:
             raise ValueError(f"{exc}: {path} (line {number})") from None
+        settings.append(cells[0])
+        joint.append(cells[1] if j else None)
+        cond.append(cells[2])
+        counts.append(count)
     have_joint = all(j is not None for j in joint)
     have_counts = all(c is not None for c in counts)
     return ScanSeries(
-        "theta", tuple(settings), tuple(cond),
+        tuple(settings), tuple(cond),
         joint_probabilities=tuple(joint) if have_joint else None,
         counts=tuple(counts) if have_counts else None,
     )

@@ -87,7 +87,7 @@ def theta_scans(config, alphas, thetas=None, points: int = 72) -> list:
         thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
     joint, cond = conditional_grid(config, alphas, thetas)
     settings = tuple(float(t) for t in thetas)
-    return [ScanSeries(scan_variable="theta", settings=settings,
+    return [ScanSeries(settings=settings,
                        probabilities=tuple(float(p) for p in row_cond),
                        joint_probabilities=tuple(float(p) for p in row_joint))
             for row_joint, row_cond in zip(joint, cond)]

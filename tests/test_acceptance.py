@@ -400,7 +400,7 @@ def test_criterion_9_monte_carlo(tmp_path):
         config = hybrid_eraser_config(
             counting=CountingModel(pair_rate=1000.0, integration_time=5.0,
                                    seed=90))
-        series = ScanSeries("theta", (0.0,), (0.5,), joint_probabilities=(0.25,))
+        series = ScanSeries((0.0,), (0.5,), joint_probabilities=(0.25,))
         draws = [simulate_counts(config, series, repetition=r).counts[0]
                  for r in range(200)]
         mean = 1000.0 * 5.0 * 0.25
@@ -422,7 +422,7 @@ def test_criterion_9_monte_carlo(tmp_path):
         cfg_text = (
             "[analyzers]\nalpha_rad = 0.5\n"
             "[counting]\npair_rate_hz = 1000.0\nseed = 90\n"
-            "[scan]\nvariable = theta\ntheta_points = 36\n")
+            "[scan]\ntheta_points = 36\n")
         cfg_path = tmp_path / "mc.cfg"
         cfg_path.write_text(cfg_text, encoding="utf-8")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

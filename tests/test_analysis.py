@@ -34,7 +34,7 @@ ROOT2 = math.sqrt(2.0)
 
 
 def series_of(settings, values):
-    return ScanSeries("theta", tuple(float(s) for s in settings),
+    return ScanSeries(tuple(float(s) for s in settings),
                       tuple(float(v) for v in values))
 
 
@@ -96,7 +96,7 @@ def test_fit_on_noisy_counts_recovers_amplitude():
     amplitudes = []
     for _ in range(50):
         counts = rng.poisson(truth)
-        series = ScanSeries("theta", tuple(thetas),
+        series = ScanSeries(tuple(thetas),
                             tuple(np.clip(truth / truth.max(), 0, 1)),
                             counts=tuple(int(c) for c in counts))
         amplitudes.append(fit_sinusoid(series, on="counts").amplitude)
@@ -389,7 +389,7 @@ def test_fringe_visibility_matches_sparse_projection(arm):
             state = joint_ket(dict(zip(keys, raw)))
             probs = tuple(apply_element(replace(spec, theta=float(t)), state)[1]
                           for t in thetas)
-            series = ScanSeries("theta", tuple(float(t) for t in thetas), probs)
+            series = ScanSeries(tuple(float(t) for t in thetas), probs)
             want = fit_visibility(fit_sinusoid(series, on="probabilities"))
             got = oam_fringe_visibility(state, ell, arm=arm)
             assert got == pytest.approx(want, abs=1e-12)
@@ -569,6 +569,12 @@ def test_azimuthal_pattern_matches_cosine():
 def test_undersampled_grid_is_rejected():
     with pytest.raises(ValueError, match="undersampled"):
         render_azimuthal_pattern(5, 0.0, 20)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_is_rejected_by_name(phase):
+    with pytest.raises(ValueError, match=f"non-finite intermodal phase {phase!r}"):
+        render_azimuthal_pattern(2, phase, 64)
 
 
 def test_two_path_full_contrast_fringes():

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from oam_eraser.cli import main
@@ -46,7 +45,6 @@ pair_rate_hz = 2000.0
 seed = 5
 
 [scan]
-variable = theta
 theta_points = 36
 """
 
@@ -79,7 +77,6 @@ def test_empty_config_is_valid_defaults():
     assert cumulative == 1.0
     assert run.config.counting.integration_time == 5.0
     assert run.config.counting.gate == 25e-9
-    assert run.scan.variable == "theta"
 
 
 def test_round_trip_is_byte_stable():
@@ -171,7 +168,6 @@ singles_b_hz = 150.5
 integration_time_s = 0.5
 
 [scan]
-variable = grid
 theta_start_rad = 0.1
 theta_stop_rad = 3
 theta_points = 10
@@ -238,7 +234,6 @@ singles_b_hz = 150.5
 seed = 7
 
 [scan]
-variable = grid
 theta_start_rad = 0.1
 theta_stop_rad = 3.0
 theta_points = 10
@@ -269,6 +264,9 @@ CONFIG_ERRORS = [
      "unknown key in [arm_a.element] (line 3, key 'foo')", 3, "foo"),
     ("[scan]\nfoo = 1\n",
      "unknown key in [scan] (line 2, key 'foo')", 2, "foo"),
+    # the subcommand picks what to sweep; [scan] has no variable key
+    ("[scan]\nvariable = theta\n",
+     "unknown key in [scan] (line 2, key 'variable')", 2, "variable"),
     # unknown keys are reported before conversion errors
     ("[source]\nl_max = x\nfoo = 1\n",
      "unknown key in [source] (line 3, key 'foo')", 3, "foo"),
@@ -301,7 +299,7 @@ CONFIG_ERRORS = [
      "type = delay\nextra_path_m = 2\n",
      "arm A has more than one delay element", None, None),
     # sections are validated source first, whatever the document order
-    ("[scan]\nvariable = phi\n\n[source]\nkind = laser\n",
+    ("[scan]\ntheta_points = 0\n\n[source]\nkind = laser\n",
      "unknown source kind 'laser' (line 4)", 4, None),
     # elements are built before any single section is checked
     ("[counting]\nfoo = 1\n\n[arm_a.element]\ntype = qplate\nq = 0.3\n",
@@ -375,13 +373,9 @@ def test_seed_override_changes_counts(tmp_path, config_path):
         (out_b / "scan_theta.csv").read_bytes()
 
 
-def test_scan_alpha_matches_sine_curve(tmp_path):
-    text = CANONICAL + "\n"
-    text = text.replace("variable = theta", "variable = alpha")
-    path = tmp_path / "alpha.cfg"
-    path.write_text(text, encoding="utf-8")
+def test_scan_alpha_matches_sine_curve(tmp_path, config_path):
     out = tmp_path / "out"
-    assert main(["scan-alpha", str(path), "--out-dir", str(out)]) == 0
+    assert main(["scan-alpha", config_path, "--out-dir", str(out)]) == 0
     rows = (out / "scan_alpha.csv").read_text().splitlines()[1:]
     assert len(rows) == 9
     for row in rows:
@@ -496,6 +490,16 @@ def test_negative_seed_option_exits_2_and_names_it(tmp_path, config_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phase", ["nan", "inf"])
+def test_non_finite_phase_exits_2_and_names_it(tmp_path, config_path, capsys,
+                                               phase):
+    out = tmp_path / "out"
+    assert main(["render-pattern", config_path, "--phase-rad", phase,
+                 "--out-dir", str(out)]) == 2
+    assert f"non-finite intermodal phase {float(phase)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_null_pipeline_exit_code_names_element(tmp_path, capsys):
     text = CANONICAL.replace("accepted_l = 0", "accepted_l = 7")
     path = tmp_path / "null.cfg"
@@ -533,11 +537,19 @@ BAD_SCAN_CSVS = [
     ("\n\n", 1),
     ("setting_rad,p_joint,p_conditional,counts\n0.0,,0.5,\n\n0.5,0.25\n", 4),
     ("setting_rad,p_joint,p_conditional,counts\n0.0,,half,\n", 2),
+    # rows that parse as numbers but are no scan: each would be fitted
+    ("setting_rad,p_joint,p_conditional,counts\n0.0,,0.5,7\n0.5,,0.5,-5\n"
+     "1.0,,0.5,7\n1.5,,0.5,7\n", 3),
+    ("setting_rad,p_joint,p_conditional,counts\n0.0,,0.5,\n0.5,,0.5,\n"
+     "inf,,0.5,\n1.5,,0.5,\n", 4),
+    ("setting_rad,p_joint,p_conditional,counts\n0.0,,0.5,\n0.5,,nan,\n"
+     "1.0,,0.5,\n1.5,,0.5,\n", 3),
 ]
 
 
 @pytest.mark.parametrize("text, line", BAD_SCAN_CSVS,
-                         ids=["empty", "blank", "short-row", "bad-number"])
+                         ids=["empty", "blank", "short-row", "bad-number",
+                              "negative-count", "inf-setting", "nan-probability"])
 def test_unreadable_scan_csv_exits_2_and_names_the_line(tmp_path, capsys,
                                                         text, line):
     path = tmp_path / "scan.csv"

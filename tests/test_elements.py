@@ -19,7 +19,6 @@ from oam_eraser.elements import (
     binary_mask_overlap,
     qplate_operator,
     sector_coefficients,
-    sector_projector,
     waveplate_jones,
     waveplate_operator,
 )
@@ -30,7 +29,6 @@ from oam_eraser.hilbert import (
     basis_ket,
     joint_ket,
     polarization_ket,
-    postselect_local,
     state_overlap,
     tensor,
 )

@@ -189,7 +189,6 @@ def test_marginal_consistency(canonical_config):
 
 def test_theta_scan_series_shape(canonical_config):
     series = theta_scan(canonical_config, points=36)
-    assert series.scan_variable == "theta"
     assert len(series.settings) == 36
     assert all(p == pytest.approx(0.5, abs=1e-12) for p in series.probabilities)
 
@@ -417,7 +416,7 @@ def test_delay_leaves_probabilities_unchanged(canonical_config):
 
 def test_zero_probability_gives_zero_counts():
     config = hybrid_eraser_config(counting=CountingModel(pair_rate=5000.0, seed=3))
-    series = ScanSeries("theta", (0.0, 1.0), (0.0, 0.0),
+    series = ScanSeries((0.0, 1.0), (0.0, 0.0),
                         joint_probabilities=(0.0, 0.0))
     out = simulate_counts(config, series)
     assert out.counts == (0, 0)
@@ -426,7 +425,7 @@ def test_zero_probability_gives_zero_counts():
 def test_poisson_mean_matches_rate_times_probability():
     config = hybrid_eraser_config(
         counting=CountingModel(pair_rate=1000.0, integration_time=5.0, seed=42))
-    series = ScanSeries("theta", (0.0,), (0.5,), joint_probabilities=(0.25,))
+    series = ScanSeries((0.0,), (0.5,), joint_probabilities=(0.25,))
     draws = [simulate_counts(config, series, repetition=r).counts[0]
              for r in range(200)]
     mean = 1000.0 * 5.0 * 0.25
@@ -441,7 +440,6 @@ def test_counts_are_order_independent():
     # evaluating a permuted series point-by-point gives the same stream
     perm = np.random.default_rng(1).permutation(24)
     shuffled = ScanSeries(
-        "theta",
         tuple(series.settings[i] for i in perm),
         tuple(series.probabilities[i] for i in perm),
         joint_probabilities=tuple(series.joint_probabilities[i] for i in perm),
@@ -462,7 +460,7 @@ def counts_and_oracle(seed, repetition, joint, pair_rate=1e7, singles=0.0):
     cm = CountingModel(pair_rate=pair_rate, integration_time=1.0,
                        singles_a=singles, singles_b=singles, seed=seed)
     config = hybrid_eraser_config(counting=cm)
-    series = ScanSeries("theta", tuple(range(len(joint))), tuple(joint),
+    series = ScanSeries(tuple(range(len(joint))), tuple(joint),
                         joint_probabilities=tuple(joint))
     oracle = [int(point_stream(seed, repetition, i).poisson(
                   cm.pair_rate * cm.integration_time * p + cm.accidentals()))
@@ -533,7 +531,7 @@ def test_negative_seed_is_rejected_by_name():
 @pytest.mark.parametrize("repetition", [2 ** 64, -1])
 def test_repetition_outside_a_counter_word_is_named(repetition):
     config = hybrid_eraser_config(counting=CountingModel(seed=3))
-    series = ScanSeries("theta", (0.0,), (0.5,), joint_probabilities=(0.25,))
+    series = ScanSeries((0.0,), (0.5,), joint_probabilities=(0.25,))
     with pytest.raises(ValueError, match=f"repetition {repetition}"):
         simulate_counts(config, series, repetition)
     with pytest.raises(ValueError, match=f"repetition {repetition}"):

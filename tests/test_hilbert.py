@@ -8,7 +8,6 @@ from oam_eraser.hilbert import (
     POL_H,
     POL_V,
     POL_IDENTITY,
-    LocalOperator,
     OamOverflowError,
     apply_local,
     basis_ket,
@@ -77,12 +76,12 @@ def _random_unitary_operator(rng, ells):
             pol = [[0j, 0j], [0j, 0j]]
             pol[p_out][p_in] = complex(q[i, j])
             terms.append((tuple(map(tuple, pol)), ell_in, ell_out - ell_in))
-    return LocalOperator(tuple(terms))
+    return tuple(terms)
 
 
 def test_identity_operator_leaves_state_unchanged():
     state = tensor(polarization_ket("R", 1), polarization_ket("D", -2))
-    out = apply_local(LocalOperator(((POL_IDENTITY, None, 0),)), "A", state)
+    out = apply_local(((POL_IDENTITY, None, 0),), "A", state)
     assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -98,7 +97,7 @@ def test_unitary_sequences_preserve_norm():
 
 def test_oam_overflow_guard():
     only_h = ((1.0 + 0.0j, 0.0j), (0.0j, 0.0j))
-    shift = LocalOperator(((only_h, L_CAP, 1),))
+    shift = ((only_h, L_CAP, 1),)
     state = tensor(basis_ket(POL_H, L_CAP), basis_ket(POL_H, 0))
     with pytest.raises(OamOverflowError, match="OAM support overflow"):
         apply_local(shift, "A", state)

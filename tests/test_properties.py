@@ -189,8 +189,7 @@ configs = st.builds(
                        integration_time=non_negative,
                        gate=st.floats(1e-12, 1.0), singles_a=non_negative,
                        singles_b=non_negative, seed=st.integers(0, 2**32)))
-scans = st.builds(ScanSpec, variable=st.sampled_from(("theta", "alpha", "grid")),
-                  theta_start=reals, theta_stop=reals,
+scans = st.builds(ScanSpec, theta_start=reals, theta_stop=reals,
                   theta_points=st.integers(1, 500), alpha_start=reals,
                   alpha_stop=reals, alpha_points=st.integers(1, 500))
 
@@ -208,6 +207,20 @@ def test_emit_parse_emit_is_a_fixed_point(run):
     moved = [s for s in specs if not isinstance(s, DelaySpec)] + delays
     assert parsed.config == replace(run.config, elements_a=tuple(moved))
     assert parsed.scan == run.scan
+
+
+@no_deadline
+@given(configs)
+def test_pipeline_probability_is_the_product_of_the_element_probabilities(config):
+    try:
+        _, probability = experiment.run_pipeline(config)
+    except (NullOutcomeError, OamOverflowError):
+        assume(False)
+    state, product = experiment.build_source_state(config.source), 1.0
+    for spec in config.elements_a + config.elements_b:
+        state, prob = apply_element(spec, state)
+        product *= prob
+    assert abs(probability - product) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
