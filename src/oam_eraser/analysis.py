@@ -21,7 +21,7 @@ from .hilbert import NULL_TOL, JointKet, checked_probability
 from .experiment import (
     ExperimentConfig,
     ScanSeries,
-    analyzer_probabilities,
+    _analyzer_core,
     run_pipeline,
 )
 
@@ -123,16 +123,18 @@ def theoretical_visibility(alpha: float) -> float:
 
 
 _FRINGE_THETAS = math.pi / 3.0 * np.arange(3)
+_FRINGE_SECTOR = el.sector_coefficients(_FRINGE_THETAS)
 _FRINGE_WEIGHTS = 2.0 / 3.0 * np.exp(-2j * _FRINGE_THETAS)
 _FRINGE_THETAS.flags.writeable = _FRINGE_WEIGHTS.flags.writeable = False
+_FRINGE_SECTOR.flags.writeable = False
 
 
 def exact_fringes(state: JointKet, polarizer, hologram, alphas) -> list:
-    """Exact fringe of the sector scan at each polarizer angle (one fringe
-    for ``polarizer=None``).  The scan is one harmonic, so the kernel at three
-    angles ``theta_k`` a third of a period apart fixes it: ``offset = mean(p_k)``
-    and ``amplitude*e^{i phase} = (2/3) sum_k p_k e^{-2i theta_k}``."""
-    _, probs = analyzer_probabilities(state, polarizer, hologram, alphas, _FRINGE_THETAS)
+    """Exact fringe of the sector scan at each polarizer angle (one fringe for
+    ``polarizer=None``).  The scan is one harmonic, fixed by the kernel at three
+    angles ``theta_k`` a third of a period apart, whose sector vectors are cached:
+    ``offset = mean(p_k)``, ``amplitude*e^{i phase} = (2/3) sum_k p_k e^{-2i theta_k}``."""
+    _, probs = _analyzer_core(state, polarizer, hologram, alphas, _FRINGE_SECTOR)
     coeffs = probs @ _FRINGE_WEIGHTS
     return [FringeFit(o, abs(c), cmath.phase(c), 0.0)
             for o, c in zip(probs.mean(axis=1).tolist(), coeffs.tolist())]

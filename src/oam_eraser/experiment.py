@@ -10,15 +10,15 @@ azimuthal hologram; the conditional coincidence probability follows
 
 exactly for the ideal configuration, which the test suite pins on a grid.
 
-Every analyzer probability, one point or a whole grid, comes from one
-kernel, :func:`analyzer_probabilities`; :func:`causal_order_probability`
-stays on the sparse element operators as an independent reference.
+Every analyzer probability comes from one kernel; fixed angle sets (a scan's
+full turn, the exact fringe's three) pass it cached sector vectors, and
+:func:`causal_order_probability` stays on the sparse operators as a reference.
 
-Counted data is simulated with counter-based RNG streams keyed by
-``(seed, repetition, point index)``, so results do not depend on the
-order in which scan points are evaluated.  The event timeline draws only
-the detected pairs, a Poisson process at ``pair_rate * joint``, and its
-singles, each from its own ``SeedSequence(seed, spawn_key=(stream,))``.
+Counted scans draw from counter-based Philox streams keyed by ``(seed,
+repetition, point index)``, so results do not depend on the order of the
+points; :func:`simulate_counts` seeds from a cached ``SeedSequence`` and reads
+no OS entropy.  The timeline draws only the detected pairs, a Poisson process
+at ``pair_rate * joint``, and singles, each from ``SeedSequence(seed, spawn_key=(stream,))``.
 """
 
 from __future__ import annotations
@@ -329,6 +329,11 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
     Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
     ``polarizer=None`` analyzes the hologram arm alone, in one row.
     """
+    return _analyzer_core(state, polarizer, hologram, alphas, el.sector_coefficients(thetas))
+
+
+def _analyzer_core(state: JointKet, polarizer, hologram, alphas, sector):
+    """:func:`analyzer_probabilities` given the sector vectors of its angles."""
     if polarizer is not None and polarizer.arm == hologram.arm:
         raise ValueError("polarizer and hologram must sit on different arms")
     ell = hologram.ell
@@ -352,7 +357,7 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
         # 1/sqrt(p_pol), and 0 where an amplitude was pruned
         renorm = (size[..., columns] > 0.0) / np.sqrt(p_pol)[:, None, None, None, None]
     scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0
-    sector = el.sector_coefficients(thetas).reshape(-1, 2)
+    sector = sector.reshape(-1, 2)
     overlap = np.einsum("ty,apxqy->atpxq", sector.conj(), passed[..., columns] * renorm)
     size = np.abs(scale * sector[:, None, None, None, :] * overlap[..., None])
     np.putmask(size, size < PRUNE_TOL, 0.0)
@@ -375,18 +380,27 @@ def coincidence_probability(config: ExperimentConfig,
 def conditional_grid(config: ExperimentConfig, alphas, thetas):
     """Joint/conditional probabilities over an (alpha, theta) grid."""
     state, _ = run_pipeline(config)
-    return analyzer_probabilities(state, config.analyzer_a, config.analyzer_b,
-                                  alphas, thetas)
+    return _analyzer_core(state, config.analyzer_a, config.analyzer_b,
+                          alphas, el.sector_coefficients(thetas))
+
+
+@lru_cache(maxsize=8, typed=True)
+def _full_turn(points: int) -> tuple:
+    """Read-only sector vectors and settings of ``points`` angles over a turn."""
+    thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
+    sector = el.sector_coefficients(thetas)
+    sector.flags.writeable = False
+    return sector, tuple(thetas.tolist())
 
 
 def theta_scans(config: ExperimentConfig, alphas, thetas=None,
                 points: int = 72) -> list:
     """Exact hologram-rotation scans, one per polarizer angle, from one grid;
     without ``thetas``, ``points`` angles over a full turn."""
-    if thetas is None:
-        thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
-    joint, cond = conditional_grid(config, alphas, thetas)
-    settings = tuple(np.asarray(thetas, dtype=float).tolist())
+    sector, settings = _full_turn(points) if thetas is None else (
+        el.sector_coefficients(thetas), tuple(np.asarray(thetas, dtype=float).tolist()))
+    state, _ = run_pipeline(config)
+    joint, cond = _analyzer_core(state, config.analyzer_a, config.analyzer_b, alphas, sector)
     return [ScanSeries(settings=settings, probabilities=tuple(row_cond),
                        joint_probabilities=tuple(row_joint))
             for row_joint, row_cond in zip(joint.tolist(), cond.tolist())]
@@ -430,10 +444,12 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 
 
 @lru_cache(maxsize=64, typed=True)
-def _seed_key(seed: int) -> np.ndarray:
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+def _seeding(seed: int) -> tuple:
+    """``SeedSequence(seed)`` and the read-only Philox key it derives."""
+    sequence = np.random.SeedSequence(seed)
+    key = sequence.generate_state(2, np.uint64)
     key.flags.writeable = False
-    return key
+    return sequence, key
 
 
 def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
@@ -442,7 +458,7 @@ def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
     for name, word in (("repetition", repetition), ("index", index)):
         if not 0 <= word < 2 ** 64:
             raise ValueError(f"{name} {word!r} outside [0, 2**64)")
-    return _seed_key(seed)
+    return _seeding(seed)[1]
 
 
 def point_stream(seed: int, repetition: int, index: int) -> np.random.Generator:
@@ -468,8 +484,8 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     draws from ``point_stream(seed, repetition, i)``, so identical seeds
     give identical counts regardless of evaluation order.  One Philox is
     reused: each point writes its counter words and an empty buffer into
-    it, which gives the same draws without a Generator per point.  The
-    seed's key is hashed once and cached, read-only.
+    it, which gives the same draws without a Generator per point.  Built from
+    the seed's cached ``SeedSequence``, not its key, the Philox reads no OS entropy.
     """
     joint = series.joint_probabilities
     if joint is None:
@@ -477,7 +493,7 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     cm = config.counting
     acc, rate = cm.accidentals(), cm.pair_rate * cm.integration_time
     key = _stream_key(cm.seed, repetition)
-    bitgen = np.random.Philox(key=key)
+    bitgen = np.random.Philox(_seeding(cm.seed)[0])
     draw = np.random.Generator(bitgen).poisson
     counter = [0, 0, 0, repetition]  # lists: the state setter reads word by word
     state = {"bit_generator": "Philox",

@@ -164,8 +164,8 @@ def pattern_csv(phis, intensity) -> str:
 
 def read_scan_csv(path) -> ScanSeries:
     """Read a :func:`scan_csv` table back; a bad header or row (a short row,
-    a cell that is no finite number, a negative count) raises a
-    ``ValueError`` that names the path and the line."""
+    a cell that is no finite number, a probability outside [0, 1], a negative
+    count) raises a ``ValueError`` that names the path and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     number, header = lines[0] if lines else (1, "")
@@ -179,6 +179,8 @@ def read_scan_csv(path) -> ScanSeries:
             count = int(c[0]) if c and c[0] else None
             if not all(map(math.isfinite, cells)):
                 raise ValueError(f"non-finite cell in {line!r}")
+            if not -1e-9 <= cells[2] <= 1.0 + 1e-9:  # ScanSeries' bound
+                raise ValueError(f"probability {cells[2]!r} outside [0, 1]")
             if count is not None and count < 0:
                 raise ValueError(f"negative count {count}")
         except ValueError as exc:

@@ -544,12 +544,15 @@ BAD_SCAN_CSVS = [
      "inf,,0.5,\n1.5,,0.5,\n", 4),
     ("setting_rad,p_joint,p_conditional,counts\n0.0,,0.5,\n0.5,,nan,\n"
      "1.0,,0.5,\n1.5,,0.5,\n", 3),
+    ("setting_rad,p_joint,p_conditional,counts\n0.0,,0.5,\n0.5,,0.5,\n"
+     "1.0,,1.5,\n1.5,,0.5,\n", 4),
 ]
 
 
 @pytest.mark.parametrize("text, line", BAD_SCAN_CSVS,
                          ids=["empty", "blank", "short-row", "bad-number",
-                              "negative-count", "inf-setting", "nan-probability"])
+                              "negative-count", "inf-setting", "nan-probability",
+                              "probability-above-one"])
 def test_unreadable_scan_csv_exits_2_and_names_the_line(tmp_path, capsys,
                                                         text, line):
     path = tmp_path / "scan.csv"

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import re
 import tracemalloc
 from dataclasses import replace
@@ -357,7 +358,8 @@ def test_theta_scans_equal_the_frozen_scans_float_for_float(config, alphas,
 
 def test_fringe_constants_and_cached_seed_keys_reject_writes():
     cached = [analysis._FRINGE_THETAS, analysis._FRINGE_WEIGHTS,
-              experiment._stream_key(17, 3)]
+              experiment._stream_key(17, 3), analysis._FRINGE_SECTOR,
+              experiment._full_turn(36)[0]]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -380,6 +382,43 @@ def test_counts_on_a_warm_key_cache_equal_one_stream_per_point():
     for repetition in (0, 1, 0, 1):  # the second pass finds the key cached
         counts, oracle = counts_and_oracle(31, repetition, joint)
         assert list(counts) == oracle
+
+
+def test_full_turn_scans_past_the_grid_cache_equal_the_frozen_scans():
+    config = hybrid_eraser_config(extinction=0.1, hologram_mode="binary", l_max=2)
+    alphas = [0.2, 1.3]
+    more = range(1, experiment._full_turn.cache_info().maxsize + 5)
+    for points in [*more, *reversed(more)]:  # the way back starts on warm entries
+        got = experiment.theta_scans(config, alphas, points=points)
+        want = parent_kernel.theta_scans(config, alphas, None, points)
+        for series, frozen in zip(got, want, strict=True):
+            for name in ("settings", "probabilities", "joint_probabilities"):
+                assert np.array(getattr(series, name)).tobytes() == \
+                    np.array(getattr(frozen, name)).tobytes()
+        info = experiment._full_turn.cache_info()
+        assert info.currsize <= info.maxsize
+    assert experiment._full_turn.cache_info().hits > 0
+
+
+def test_simulate_counts_reads_no_os_entropy(monkeypatch):
+    joint = [JOINT_CLASSES[i % len(JOINT_CLASSES)] for i in range(12)]
+    seeds = range(500, 500 + experiment._seeding.cache_info().maxsize + 8)
+    oracles = {seed: counts_and_oracle(seed, 2, joint)[1] for seed in seeds}
+    experiment._seeding.cache_clear()
+
+    def no_entropy(size):
+        raise AssertionError("OS entropy read")
+
+    monkeypatch.setattr(random, "_urandom", no_entropy)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.SeedSequence()  # the patch reaches numpy's entropy source
+    for seed in seeds:
+        for _ in ("cold", "warm"):
+            cm = CountingModel(pair_rate=1e7, integration_time=1.0, seed=seed)
+            series = ScanSeries(tuple(range(len(joint))), tuple(joint),
+                                joint_probabilities=tuple(joint))
+            counts = simulate_counts(hybrid_eraser_config(counting=cm), series, 2)
+            assert list(counts.counts) == oracles[seed]
 
 
 # ---------------------------------------------------------------------------
