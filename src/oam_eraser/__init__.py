@@ -8,19 +8,7 @@ counted data, and analyzes fringe visibility against which-path
 distinguishability.
 """
 
-from .hilbert import (
-    JointKet,
-    LocalKet,
-    OamOverflowError,
-    apply_local,
-    basis_ket,
-    joint_ket,
-    local_ket,
-    polarization_ket,
-    project,
-    state_overlap,
-    tensor,
-)
+from .hilbert import JointKet, OamOverflowError, apply_local, joint_ket
 from .elements import (
     DelaySpec,
     FiberSpec,

@@ -2,21 +2,21 @@
 
 A joint state lives on arm A tensor arm B, where each arm carries a
 polarization qubit and an unbounded (but finitely supported) orbital
-angular momentum index.  States are sparse complex amplitude maps keyed by
-integer-coded labels; operations are pure functions returning new values,
-so everything here is safe to share across threads.
+angular momentum index.  :class:`JointKet` is the package's one state type:
+a sparse complex amplitude map keyed by integer-coded labels.  Operations
+are pure functions returning new values, so everything here is safe to
+share across threads.
 
 A single-arm operator is a tuple of terms, in the format :func:`apply_local`
 documents; it emits one output label per term and output polarization.
+:func:`postselect_local` applies a non-unitary one and renormalizes, which
+is also how a Born-rule projection of one arm is taken.
 
 Conventions, pinned once and regression-locked by the test suite:
 
     polarization basis   H = 0, V = 1
     diagonal             D = (H + V)/sqrt(2),  A = (H - V)/sqrt(2)
     circular             R = (H - iV)/sqrt(2), L = (H + iV)/sqrt(2)
-
-State equality in tests always means equality up to one global phase,
-checked through ``abs(state_overlap(a, b)) == 1``.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ PRUNE_TOL = 1e-15
 
 #: Projection probabilities below this count as a null outcome.
 NULL_TOL = 1e-14
-
-_NORM_TOL = 1e-9
-
 
 class OamOverflowError(ValueError):
     """An operation pushed an OAM index beyond the configured cap."""
@@ -72,52 +69,6 @@ def checked_probability(p):
 
 
 # ---------------------------------------------------------------------------
-# single-arm states
-
-
-@dataclass(frozen=True)
-class LocalKet:
-    """State of one arm: amplitudes keyed by ``(polarization, oam)``."""
-
-    amplitudes: dict
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-
-def local_ket(amplitudes: Mapping) -> LocalKet:
-    amps = {k: complex(v) for k, v in amplitudes.items() if abs(v) > 0.0}
-    _check_finite(amps)
-    if not amps:
-        raise ValueError("empty local state")
-    n = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return LocalKet({k: a / n for k, a in amps.items()})
-
-
-def basis_ket(pol: int, ell: int = 0) -> LocalKet:
-    return LocalKet({(pol, ell): 1.0 + 0.0j})
-
-
-_POL_STATES = {
-    "H": {POL_H: 1.0},
-    "V": {POL_V: 1.0},
-    "D": {POL_H: 1 / math.sqrt(2), POL_V: 1 / math.sqrt(2)},
-    "A": {POL_H: 1 / math.sqrt(2), POL_V: -1 / math.sqrt(2)},
-    "R": {POL_H: 1 / math.sqrt(2), POL_V: -1j / math.sqrt(2)},
-    "L": {POL_H: 1 / math.sqrt(2), POL_V: 1j / math.sqrt(2)},
-}
-
-
-def polarization_ket(name: str, ell: int = 0) -> LocalKet:
-    """One of H, V, D, A, R, L at a fixed OAM index."""
-    try:
-        coeffs = _POL_STATES[name]
-    except KeyError:
-        raise ValueError(f"unknown polarization label {name!r}") from None
-    return LocalKet({(pol, ell): complex(c) for pol, c in coeffs.items()})
-
-
-# ---------------------------------------------------------------------------
 # joint states
 
 
@@ -142,7 +93,7 @@ def _prune(amps: dict) -> dict:
     return {k: a for k, a in amps.items() if abs(a) >= PRUNE_TOL}
 
 
-def joint_ket(amplitudes: Mapping, norm_tracked: float = 1.0) -> JointKet:
+def joint_ket(amplitudes: Mapping) -> JointKet:
     """Build a normalized joint state from an amplitude map."""
     amps = {tuple(k): complex(v) for k, v in amplitudes.items()}
     _check_finite(amps)
@@ -153,30 +104,7 @@ def joint_ket(amplitudes: Mapping, norm_tracked: float = 1.0) -> JointKet:
     if n < NULL_TOL:
         raise ValueError("cannot normalize a null state")
     amps = _prune({k: a / n for k, a in amps.items()})
-    return JointKet(amps, checked_probability(norm_tracked))
-
-
-def tensor(ket_a: LocalKet, ket_b: LocalKet) -> JointKet:
-    """Product state of two single-arm states; factors must be normalized."""
-    for ket in (ket_a, ket_b):
-        if abs(ket.norm() - 1.0) > _NORM_TOL:
-            raise ValueError("unnormalized factor")
-    amps = {}
-    for (pol_a, ell_a), va in ket_a.amplitudes.items():
-        for (pol_b, ell_b), vb in ket_b.amplitudes.items():
-            amps[(pol_a, ell_a, pol_b, ell_b)] = va * vb
-    return joint_ket(amps)
-
-
-def state_overlap(a: JointKet, b: JointKet) -> complex:
-    """Inner product <a|b> over the shared support."""
-    small, large = (a, b) if len(a.amplitudes) <= len(b.amplitudes) else (b, a)
-    acc = 0.0 + 0.0j
-    for k, amp in small.amplitudes.items():
-        other = large.amplitudes.get(k)
-        if other is not None:
-            acc += (amp.conjugate() * other) if small is a else (other.conjugate() * amp)
-    return acc
+    return JointKet(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -241,26 +169,6 @@ def postselect_local(terms: tuple, arm: str, state: JointKet):
     scale = 1.0 / math.sqrt(p)
     amps = _prune({k: a * scale for k, a in raw.amplitudes.items()})
     return JointKet(amps, checked_probability(state.norm_tracked * p)), p
-
-
-def project(state: JointKet, arm: str, target: LocalKet):
-    """Born-rule projection of one arm onto a normalized local state.
-
-    Returns ``(post_state, probability)``; the post-measurement state is
-    renormalized, with the projected arm collapsed onto ``target``.  A
-    probability below ``NULL_TOL`` returns ``(None, 0.0)``.
-    """
-    if abs(target.norm() - 1.0) > _NORM_TOL:
-        raise ValueError("unnormalized projection target")
-    # the rank-1 projector |target><target|: one term per pair of OAM
-    # indices, from |p, b> to |q, a> with weight t(q, a) t(p, b)*
-    t = target.amplitudes
-    ells = sorted({ell for _, ell in t})
-    terms = tuple(
-        (tuple(tuple(t.get((q, a), 0j) * t.get((p, b), 0j).conjugate()
-                     for p in (POL_H, POL_V)) for q in (POL_H, POL_V)), b, a - b)
-        for a in ells for b in ells)
-    return postselect_local(terms, arm, state)
 
 
 def format_state(state: JointKet) -> str:

@@ -15,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from oam_eraser.hilbert import _NORM_TOL, ARMS, JointKet
+from oam_eraser.hilbert import ARMS, JointKet
+
+_NORM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------

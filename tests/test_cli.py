@@ -12,9 +12,9 @@ from oam_eraser.cli import main
 from oam_eraser.configio import ConfigError, emit_config, parse_config
 from oam_eraser.elements import FiberSpec, QPlateSpec, WavePlateSpec
 from oam_eraser.experiment import run_pipeline
-from oam_eraser.hilbert import state_overlap
 
 from conftest import marked_pair
+from states import overlap
 
 CANONICAL = """\
 # canonical hybrid-entanglement eraser
@@ -67,7 +67,7 @@ def test_canonical_config_pipelines_to_marked_pair():
     assert isinstance(run.config.elements_a[2], WavePlateSpec)
     state, cumulative = run_pipeline(run.config)
     expected = marked_pair(ell=-1, delta=math.pi / 2)
-    assert abs(state_overlap(expected, state)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(overlap(expected, state)) == pytest.approx(1.0, abs=1e-10)
     assert cumulative == pytest.approx(1 / 3, abs=1e-12)
 
 

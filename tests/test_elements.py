@@ -22,18 +22,10 @@ from oam_eraser.elements import (
     waveplate_jones,
     waveplate_operator,
 )
-from oam_eraser.hilbert import (
-    POL_H,
-    POL_V,
-    apply_local,
-    basis_ket,
-    joint_ket,
-    polarization_ket,
-    state_overlap,
-    tensor,
-)
+from oam_eraser.hilbert import POL_H, POL_V, apply_local, joint_ket
 
 from conftest import bell_circular, marked_pair
+from states import basis, overlap, pol, product
 
 ROOT2 = math.sqrt(2.0)
 
@@ -44,15 +36,15 @@ ROOT2 = math.sqrt(2.0)
 
 def test_qplate_shifts_right_circular_up_and_flips():
     op = qplate_operator(QPlateSpec(q=0.5))
-    state = tensor(polarization_ket("R", 0), basis_ket(POL_H, 0))
+    state = product(pol("R", 0), basis(POL_H, 0))
     out = apply_local(op, "A", state)
-    expected = tensor(polarization_ket("L", 1), basis_ket(POL_H, 0))
-    assert abs(state_overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
+    expected = product(pol("L", 1), basis(POL_H, 0))
+    assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qplate_on_horizontal_splits_both_ways():
     op = qplate_operator(QPlateSpec(q=0.5))
-    state = tensor(polarization_ket("H", 0), basis_ket(POL_H, 0))
+    state = product(pol("H", 0), basis(POL_H, 0))
     out = apply_local(op, "A", state)
     expected = joint_ket({
         # (|1>|L> + |-1>|R>)/sqrt2 written in the H/V basis
@@ -61,14 +53,14 @@ def test_qplate_on_horizontal_splits_both_ways():
         (POL_H, -1, POL_H, 0): 0.5,
         (POL_V, -1, POL_H, 0): -0.5j,
     })
-    assert abs(state_overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qplate_twice_returns_to_start():
     op = qplate_operator(QPlateSpec(q=0.5))
-    state = tensor(polarization_ket("R", 0), basis_ket(POL_H, 0))
+    state = product(pol("R", 0), basis(POL_H, 0))
     out = apply_local(op, "A", apply_local(op, "A", state))
-    assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qplate_flips_circular_handedness_for_random_oam():
@@ -77,11 +69,10 @@ def test_qplate_flips_circular_handedness_for_random_oam():
     for _ in range(10):
         ell = int(rng.integers(-10, 10))
         for name, flipped, shift in (("R", "L", 2), ("L", "R", -2)):
-            state = tensor(polarization_ket(name, ell), basis_ket(POL_H, 0))
+            state = product(pol(name, ell), basis(POL_H, 0))
             out = apply_local(op, "A", state)
-            expected = tensor(polarization_ket(flipped, ell + shift),
-                              basis_ket(POL_H, 0))
-            assert abs(state_overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
+            expected = product(pol(flipped, ell + shift), basis(POL_H, 0))
+            assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qplate_rejects_non_half_integer_charge():
@@ -98,10 +89,10 @@ def test_qplate_rejects_non_finite_charge(q):
 def test_zero_charge_qplate_is_a_half_wave_plate():
     # both shift blocks land on the input OAM: (U_up + U_down) = diag(1, -1)
     op = qplate_operator(QPlateSpec(q=0.0))
-    state = tensor(polarization_ket("D", 3), basis_ket(POL_H, 0))
+    state = product(pol("D", 3), basis(POL_H, 0))
     out = apply_local(op, "A", state)
-    expected = tensor(polarization_ket("A", 3), basis_ket(POL_H, 0))
-    assert state_overlap(expected, out) == pytest.approx(1.0, abs=1e-12)
+    expected = product(pol("A", 3), basis(POL_H, 0))
+    assert overlap(expected, out) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +112,14 @@ def test_quarter_wave_plate_turns_bell_into_marked_pair():
     op = waveplate_operator(WavePlateSpec("quarter", math.pi / 4, arm="A"))
     out = apply_local(op, "A", state)
     expected = marked_pair(ell=1, delta=math.pi / 2)
-    assert abs(state_overlap(expected, out)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_half_wave_plate_twice_is_identity():
     op = waveplate_operator(WavePlateSpec("half", 0.0, arm="B"))
-    state = tensor(polarization_ket("L", 2), polarization_ket("D", -1))
+    state = product(pol("L", 2), pol("D", -1))
     out = apply_local(op, "B", apply_local(op, "B", state))
-    assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quarter_wave_plate_linearizes_circular_light():
@@ -137,9 +128,9 @@ def test_quarter_wave_plate_linearizes_circular_light():
     assert abs(out_vec[1]) == pytest.approx(0.0, abs=1e-15)
     assert abs(out_vec[0]) == pytest.approx(1.0, abs=1e-15)
     op = waveplate_operator(WavePlateSpec("quarter", math.pi / 4, arm="A"))
-    out = apply_local(op, "A", tensor(polarization_ket("R"), basis_ket(POL_H, 0)))
-    left = tensor(polarization_ket("L"), basis_ket(POL_H, 0))
-    assert abs(state_overlap(left, out)) == pytest.approx(1 / ROOT2, abs=1e-12)
+    out = apply_local(op, "A", product(pol("R"), basis(POL_H, 0)))
+    left = product(pol("L"), basis(POL_H, 0))
+    assert abs(overlap(left, out)) == pytest.approx(1 / ROOT2, abs=1e-12)
 
 
 def test_waveplate_validation():
@@ -154,25 +145,25 @@ def test_waveplate_validation():
 
 
 def test_ideal_polarizer_passes_aligned_light():
-    state = tensor(polarization_ket("H"), basis_ket(POL_H, 0))
+    state = product(pol("H"), basis(POL_H, 0))
     out, prob = apply_element(PolarizerSpec(alpha=0.0), state)
     assert prob == pytest.approx(1.0, abs=1e-12)
-    assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_polarizer_blocks_crossed_light():
-    state = tensor(polarization_ket("V"), basis_ket(POL_H, 0))
+    state = product(pol("V"), basis(POL_H, 0))
     out, prob = apply_element(PolarizerSpec(alpha=0.0), state)
     assert out is None
     assert prob == 0.0
 
 
 def test_polarizer_at_45_degrees_halves_horizontal():
-    state = tensor(polarization_ket("H"), basis_ket(POL_H, 0))
+    state = product(pol("H"), basis(POL_H, 0))
     out, prob = apply_element(PolarizerSpec(alpha=math.pi / 4), state)
     assert prob == pytest.approx(0.5, abs=1e-12)
-    expected = tensor(polarization_ket("D"), basis_ket(POL_H, 0))
-    assert abs(state_overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
+    expected = product(pol("D"), basis(POL_H, 0))
+    assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_polarizer_is_idempotent():
@@ -180,13 +171,13 @@ def test_ideal_polarizer_is_idempotent():
     for _ in range(10):
         alpha = float(rng.uniform(0, math.pi))
         spec = PolarizerSpec(alpha=alpha)
-        state = tensor(polarization_ket("D", 1), polarization_ket("H", -1))
+        state = product(pol("D", 1), pol("H", -1))
         once, p1 = apply_element(spec, state)
         if once is None:
             continue
         twice, p2 = apply_element(spec, once)
         assert p2 == pytest.approx(1.0, abs=1e-12)
-        assert abs(state_overlap(once, twice)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(overlap(once, twice)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_polarizer_extinction_range_checked():
@@ -214,18 +205,18 @@ def test_fiber_reduces_spread_state_to_bell_pair():
         (POL_H, 0, POL_H, -1): 0.5,
         (POL_V, 0, POL_H, -1): -0.5j,
     })
-    assert abs(state_overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fiber_passes_matching_state_unchanged():
-    state = tensor(polarization_ket("D", 0), polarization_ket("H", 2))
+    state = product(pol("D", 0), pol("H", 2))
     out, prob = apply_element(FiberSpec(arm="A", accepted_ell=0), state)
     assert prob == pytest.approx(1.0, abs=1e-12)
-    assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fiber_with_no_matching_component_is_null():
-    state = tensor(polarization_ket("H", 3), polarization_ket("H", 0))
+    state = product(pol("H", 3), pol("H", 0))
     out, prob = apply_element(FiberSpec(arm="A", accepted_ell=0), state)
     assert out is None and prob == 0.0
 
@@ -235,7 +226,7 @@ def test_fiber_with_no_matching_component_is_null():
 
 
 def test_sector_projection_of_single_mode_is_half():
-    state = tensor(polarization_ket("H", 0), basis_ket(POL_H, 1))
+    state = product(pol("H", 0), basis(POL_H, 1))
     _, prob = apply_element(HologramSpec(ell=1, theta=0.0, arm="B"), state)
     assert prob == pytest.approx(0.5, abs=1e-12)
 

@@ -34,11 +34,12 @@ from oam_eraser.experiment import (
     theta_scan,
 )
 from oam_eraser import analysis, experiment, output
-from oam_eraser.hilbert import POL_H, POL_V, joint_ket, state_overlap
+from oam_eraser.hilbert import POL_H, POL_V, joint_ket
 from oam_eraser.output import events_csv, fmt
 
 import parent_kernel
 from conftest import greedy_coincidences, marked_pair
+from states import overlap
 
 ROOT2 = math.sqrt(2.0)
 
@@ -95,7 +96,7 @@ def test_generic_two_path_source_is_fully_marked():
 def test_canonical_pipeline_reaches_marked_pair(canonical_config):
     state, cumulative = run_pipeline(canonical_config)
     expected = marked_pair(ell=-1, delta=math.pi / 2)
-    assert abs(state_overlap(expected, state)) == pytest.approx(1.0, abs=1e-10)
+    assert abs(overlap(expected, state)) == pytest.approx(1.0, abs=1e-10)
     assert cumulative == pytest.approx(1 / 3, abs=1e-12)
     assert state.norm_tracked == pytest.approx(1 / 3, abs=1e-12)
 
@@ -104,7 +105,7 @@ def test_empty_pipeline_returns_source():
     config = ExperimentConfig(source=SourceSpec(l_max=1))
     state, cumulative = run_pipeline(config)
     assert cumulative == 1.0
-    assert abs(state_overlap(build_source_state(config.source), state)) == \
+    assert abs(overlap(build_source_state(config.source), state)) == \
         pytest.approx(1.0, abs=1e-12)
 
 

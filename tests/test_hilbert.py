@@ -1,63 +1,68 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+
+import oam_eraser
 
 from oam_eraser.hilbert import (
     L_CAP,
     POL_H,
     POL_V,
     POL_IDENTITY,
+    JointKet,
     OamOverflowError,
     apply_local,
-    basis_ket,
     checked_probability,
     joint_ket,
-    polarization_ket,
-    project,
-    state_overlap,
-    tensor,
+    postselect_local,
 )
 
 from conftest import bell_circular, marked_pair
 from density_oracle import density_matrix, reduced_density, trace_distance
+from states import basis, normalized, overlap, pol, product, project
 
 ROOT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# tensor products
+# product states through joint_ket
 
 
 def test_tensor_of_basis_states_is_single_entry():
-    state = tensor(basis_ket(POL_H, 0), basis_ket(POL_H, 0))
+    state = product(basis(POL_H, 0), basis(POL_H, 0))
     assert set(state.amplitudes) == {(POL_H, 0, POL_H, 0)}
     assert state.amplitudes[(POL_H, 0, POL_H, 0)] == pytest.approx(1.0)
 
 
 def test_tensor_diagonal_splits_evenly():
-    state = tensor(polarization_ket("D"), polarization_ket("H"))
+    state = product(pol("D"), pol("H"))
     assert state.amplitudes[(POL_H, 0, POL_H, 0)] == pytest.approx(1 / ROOT2)
     assert state.amplitudes[(POL_V, 0, POL_H, 0)] == pytest.approx(1 / ROOT2)
 
 
 def test_tensor_of_unit_kets_has_unit_norm():
+    # joint_ket keeps the product amplitudes of normalized factors as they are
     rng = np.random.default_rng(7)
     for _ in range(20):
-        amps_a = {(p, ell): complex(*rng.normal(size=2))
-                  for p in (POL_H, POL_V) for ell in (-1, 0, 2)}
-        amps_b = {(p, ell): complex(*rng.normal(size=2))
-                  for p in (POL_H, POL_V) for ell in (0, 1)}
-        from oam_eraser.hilbert import local_ket
-        state = tensor(local_ket(amps_a), local_ket(amps_b))
+        a = normalized({(p, ell): complex(*rng.normal(size=2))
+                        for p in (POL_H, POL_V) for ell in (-1, 0, 2)})
+        b = normalized({(p, ell): complex(*rng.normal(size=2))
+                        for p in (POL_H, POL_V) for ell in (0, 1)})
+        state = product(a, b)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        for (pa, ea, pb, eb), amp in state.amplitudes.items():
+            assert amp == pytest.approx(a[(pa, ea)] * b[(pb, eb)], abs=1e-12)
 
 
-def test_tensor_rejects_unnormalized_factor():
-    from oam_eraser.hilbert import LocalKet
-    bad = LocalKet({(POL_H, 0): 2.0 + 0.0j})
-    with pytest.raises(ValueError, match="unnormalized factor"):
-        tensor(bad, basis_ket(POL_H, 0))
+def test_the_joint_state_is_the_only_state_type():
+    # single-arm states, products and projections live in tests/states.py
+    for name in ("LocalKet", "local_ket", "basis_ket", "polarization_ket",
+                 "tensor", "state_overlap", "project"):
+        assert not hasattr(oam_eraser, name)
+        assert not hasattr(oam_eraser.hilbert, name)
+    assert list(inspect.signature(joint_ket).parameters) == ["amplitudes"]
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +85,14 @@ def _random_unitary_operator(rng, ells):
 
 
 def test_identity_operator_leaves_state_unchanged():
-    state = tensor(polarization_ket("R", 1), polarization_ket("D", -2))
+    state = product(pol("R", 1), pol("D", -2))
     out = apply_local(((POL_IDENTITY, None, 0),), "A", state)
-    assert abs(state_overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unitary_sequences_preserve_norm():
     rng = np.random.default_rng(17)
-    state = tensor(polarization_ket("D", 0), polarization_ket("R", 1))
+    state = product(pol("D", 0), pol("R", 1))
     for _ in range(30):
         op = _random_unitary_operator(rng, (-1, 0, 1))
         arm = "A" if rng.random() < 0.5 else "B"
@@ -98,7 +103,7 @@ def test_unitary_sequences_preserve_norm():
 def test_oam_overflow_guard():
     only_h = ((1.0 + 0.0j, 0.0j), (0.0j, 0.0j))
     shift = ((only_h, L_CAP, 1),)
-    state = tensor(basis_ket(POL_H, L_CAP), basis_ket(POL_H, 0))
+    state = product(basis(POL_H, L_CAP), basis(POL_H, 0))
     with pytest.raises(OamOverflowError, match="OAM support overflow"):
         apply_local(shift, "A", state)
     with pytest.raises(OamOverflowError):
@@ -111,15 +116,15 @@ def test_oam_overflow_guard():
 
 def test_project_bell_onto_right_circular_collapses_partner():
     state = bell_circular(ell=1)
-    post, prob = project(state, "A", polarization_ket("R"))
+    post, prob = project(state, "A", pol("R"))
     assert prob == pytest.approx(0.5, abs=1e-12)
-    expected = tensor(polarization_ket("R", 0), basis_ket(POL_H, 1))
-    assert abs(state_overlap(expected, post)) == pytest.approx(1.0, abs=1e-12)
+    expected = product(pol("R", 0), basis(POL_H, 1))
+    assert abs(overlap(expected, post)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_project_orthogonal_is_null_outcome():
-    state = tensor(polarization_ket("H"), polarization_ket("H"))
-    post, prob = project(state, "A", polarization_ket("V"))
+    state = product(pol("H"), pol("H"))
+    post, prob = project(state, "A", pol("V"))
     assert post is None
     assert prob == 0.0
 
@@ -128,7 +133,7 @@ def test_project_marked_pair_onto_antidiagonal():
     # hand expansion: (<H|-<V|)/sqrt2 applied to the delta=pi/2 pair leaves
     # photon B in (|ell> - i|-ell>)/sqrt2 with probability 1/2
     state = marked_pair(ell=1, delta=math.pi / 2)
-    post, prob = project(state, "A", polarization_ket("A"))
+    post, prob = project(state, "A", pol("A"))
     assert prob == pytest.approx(0.5, abs=1e-12)
     expected = joint_ket({
         (POL_H, 0, POL_H, 1): 0.5,
@@ -136,7 +141,7 @@ def test_project_marked_pair_onto_antidiagonal():
         (POL_H, 0, POL_H, -1): -0.5j,
         (POL_V, 0, POL_H, -1): 0.5j,
     })
-    assert abs(state_overlap(expected, post)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(expected, post)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_born_completeness_over_local_basis():
@@ -149,16 +154,16 @@ def test_born_completeness_over_local_basis():
         }
         state = joint_ket(amps)
         total = 0.0
-        for pol in (POL_H, POL_V):
+        for p_a in (POL_H, POL_V):
             for ell in (-1, 0):
-                _, p = project(state, "A", basis_ket(pol, ell))
+                _, p = project(state, "A", basis(p_a, ell))
                 total += p
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_project_tracks_success_probability():
     state = bell_circular()
-    post, prob = project(state, "A", polarization_ket("R"))
+    post, prob = project(state, "A", pol("R"))
     assert post.norm_tracked == pytest.approx(prob, abs=1e-12)
 
 
@@ -170,8 +175,10 @@ def test_probabilities_are_checked_not_clamped():
     for bad in (1.0 + 1e-9, -1e-9, np.array([0.5, 1.0 + 1e-9]), math.nan):
         with pytest.raises(ValueError, match="outside"):
             checked_probability(bad)
+    # the running success probability is checked on every post-selection
     with pytest.raises(ValueError, match="outside"):
-        joint_ket({(POL_H, 0, POL_H, 0): 1.0}, norm_tracked=1.5)
+        postselect_local(((POL_IDENTITY, None, 0),), "A",
+                         JointKet({(POL_H, 0, POL_H, 0): 1.0 + 0j}, 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +194,7 @@ def test_reduced_state_of_bell_is_maximally_mixed():
 
 
 def test_reduced_state_of_product_is_pure():
-    state = tensor(polarization_ket("D", 1), polarization_ket("R", -1))
+    state = product(pol("D", 1), pol("R", -1))
     rho = reduced_density(state, "A", "both")
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
@@ -207,7 +214,7 @@ def test_trace_distance_examples():
     pol_basis = ((POL_H,), (POL_V,))
 
     def pol_density(name):
-        return reduced_density(tensor(polarization_ket(name), basis_ket(POL_H, 0)),
+        return reduced_density(product(pol(name), basis(POL_H, 0)),
                                "A", "pol", basis=pol_basis)
 
     h, v, d = pol_density("H"), pol_density("V"), pol_density("D")
@@ -218,7 +225,7 @@ def test_trace_distance_examples():
 
 
 def test_trace_distance_requires_matching_basis():
-    h = reduced_density(tensor(polarization_ket("H"), basis_ket(POL_H, 0)), "A", "pol")
+    h = reduced_density(product(pol("H"), basis(POL_H, 0)), "A", "pol")
     big = density_matrix(((POL_H,), (POL_V,), ("x",)), np.eye(3) / 3)
     with pytest.raises(ValueError, match="different bases"):
         trace_distance(h, big)
@@ -241,11 +248,11 @@ def test_pruning_changes_no_probability():
     }
     state = joint_ket(base)
     assert (POL_V, 0, POL_H, 3) not in state.amplitudes
-    _, p = project(state, "A", polarization_ket("H"))
+    _, p = project(state, "A", pol("H"))
     assert p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_global_phase_is_unphysical():
     a = marked_pair(1, math.pi / 2)
     rotated = joint_ket({k: v * np.exp(1j * 0.83) for k, v in a.amplitudes.items()})
-    assert abs(state_overlap(a, rotated)) == pytest.approx(1.0, abs=1e-12)
+    assert abs(overlap(a, rotated)) == pytest.approx(1.0, abs=1e-12)

@@ -37,14 +37,11 @@ from oam_eraser.hilbert import (
     POL_H,
     POL_V,
     OamOverflowError,
-    basis_ket,
     joint_ket,
-    local_ket,
-    project,
-    tensor,
 )
 
 from conftest import greedy_coincidences
+from states import basis, normalized, product, project
 
 pols = st.sampled_from((POL_H, POL_V))
 labels = st.tuples(pols, st.integers(-4, 4), pols, st.integers(-4, 4))
@@ -89,7 +86,7 @@ near_cap = st.integers(L_CAP - 4, L_CAP) | st.integers(-L_CAP, 4 - L_CAP)
 @no_deadline
 @given(pols, near_cap, charges)
 def test_qplate_overflows_exactly_past_the_cap(pol, ell, q):
-    state = tensor(basis_ket(pol, ell), basis_ket(POL_H, 0))
+    state = product(basis(pol, ell), basis(POL_H, 0))
     spec = QPlateSpec(q=q)
     if abs(ell) + abs(round(2 * q)) > L_CAP:
         with pytest.raises(OamOverflowError):
@@ -106,7 +103,7 @@ small_ells = st.integers(-3, 3)
 small_states = st.dictionaries(st.tuples(pols, small_ells, pols, small_ells),
                                amplitudes, min_size=1, max_size=12).map(joint_ket)
 targets = st.dictionaries(st.tuples(pols, small_ells), amplitudes,
-                          min_size=1, max_size=6).map(local_ket)
+                          min_size=1, max_size=6).map(normalized)
 
 
 def dense(amplitudes, shape):
@@ -124,7 +121,7 @@ def test_project_matches_a_dense_contraction(state, target, arm):
     psi = dense(state.amplitudes, (2, 7, 2, 7))
     if arm == "B":
         psi = psi.transpose(2, 3, 0, 1)
-    t = dense(target.amplitudes, (2, 7))
+    t = dense(target, (2, 7))
     rest = np.einsum("pl,plqm->qm", t.conj(), psi)
     prob = float(np.sum(np.abs(rest) ** 2))
     post, p = project(state, arm, target)
