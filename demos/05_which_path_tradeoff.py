@@ -47,7 +47,9 @@ for _ in range(200):
     total = complementarity_check(oam_fringe_visibility(state, ell=1),
                                   distinguishability(state, ell=1)).sum_of_squares
     worst = max(worst, abs(total - 1.0))
-print(f"  largest |V^2 + D^2 - 1| over 200 draws: {worst:.2e}")
+# the bound, not the rounding residue, so the line holds across summation orders
+print(f"  largest |V^2 + D^2 - 1| over 200 draws: "
+      f"{'below' if worst < 1e-12 else 'ABOVE'} 1e-12")
 
 print("\ngeneric two-path picture with orthogonal markers:")
 x = np.linspace(0.0, 4 * math.pi, 8, endpoint=False)

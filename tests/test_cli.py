@@ -753,7 +753,7 @@ DEMO_STDOUT_DIGESTS = {
     "04_sector_masks":
         "fa549182e45a09d1b8880b02f770f1c463e1f0d55ed0511bacda5b12e9f58caa",
     "05_which_path_tradeoff":
-        "b639916defdc1b78c3bb796dfe994a88488dafec32aceb53b81a064d21e17c20",
+        "e866bc06abfd31fba001d3ff60ad9edf62b12d702e1bfe45f43a7f7f3c0e08e4",
 }
 
 
