@@ -612,6 +612,37 @@ def test_large_delay_kills_true_coincidences():
     assert n == 0  # ~100 ns delay exceeds the gate and no accidentals are on
 
 
+class _FixedDraws:
+    """Stands in for every stream's generator: each Poisson draw is
+    ``len(times)`` and each uniform draw returns ``times``."""
+
+    def __init__(self, times):
+        self.times = times
+
+    def poisson(self, lam):
+        return len(self.times)
+
+    def uniform(self, low, high, size):
+        assert size == len(self.times)
+        return self.times.copy()
+
+
+def test_a_true_pair_click_comes_first_on_equal_times(monkeypatch):
+    # 64 pairs and 64 arm-A singles at the same 64 times: an unstable merge
+    # reorders the ties (numpy's quicksort does, at this size)
+    times = np.arange(64) * 1e-3
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws(times))
+    config = hybrid_eraser_config(
+        alpha=math.pi / 4,
+        counting=CountingModel(pair_rate=1000.0, singles_a=1000.0, seed=1))
+    events, coincidences = simulate_timeline(config, math.pi / 4, 0.0, 0.1)
+    assert events.times_a.tolist() == np.repeat(times, 2).tolist()
+    assert events.true_pair_a.tolist() == [True, False] * 64
+    assert events.times_b.tolist() == times.tolist()
+    assert events.true_pair_b.all()
+    assert coincidences == 64
+
+
 def test_events_are_time_ordered_and_tagged():
     config = timeline_config(seed=17, singles=2000.0)
     events, _ = simulate_timeline(config, math.pi / 4, 0.0, 0.2)

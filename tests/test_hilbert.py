@@ -15,6 +15,7 @@ from oam_eraser.hilbert import (
     OamOverflowError,
     apply_local,
     checked_probability,
+    format_state,
     joint_ket,
     postselect_local,
 )
@@ -98,6 +99,24 @@ def test_unitary_sequences_preserve_norm():
         arm = "A" if rng.random() < 0.5 else "B"
         state = apply_local(op, arm, state)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_output_labels_follow_input_then_term_then_polarization():
+    # format_state breaks magnitude ties by this order, so a printed ket is
+    # stable; a zero matrix entry adds no label
+    hadamard = ((1 / ROOT2 + 0j, 1 / ROOT2 + 0j), (1 / ROOT2 + 0j, -1 / ROOT2 + 0j))
+    state = joint_ket({(POL_H, 0, POL_H, 1): 1.0, (POL_V, 1, POL_H, 0): 1.0})
+    out = apply_local(((hadamard, None, 0), (POL_IDENTITY, None, 2)), "A", state)
+    assert list(out.amplitudes) == [
+        (POL_H, 0, POL_H, 1), (POL_V, 0, POL_H, 1), (POL_H, 2, POL_H, 1),
+        (POL_H, 1, POL_H, 0), (POL_V, 1, POL_H, 0), (POL_V, 3, POL_H, 0)]
+    assert format_state(out).splitlines() == [
+        "  0.7071 exp(+0.0000i) |H,+2>_A |H,+1>_B",
+        "  0.7071 exp(+0.0000i) |V,+3>_A |H,+0>_B",
+        "  0.5000 exp(+0.0000i) |H,+0>_A |H,+1>_B",
+        "  0.5000 exp(+0.0000i) |V,+0>_A |H,+1>_B",
+        "  0.5000 exp(+0.0000i) |H,+1>_A |H,+0>_B",
+        "  0.5000 exp(+3.1416i) |V,+1>_A |H,+0>_B"]
 
 
 def test_oam_overflow_guard():

@@ -3,6 +3,7 @@ random states, of the config emitter and parser on random runs, and of the
 coincidence matcher on random click streams."""
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -262,3 +263,93 @@ def test_projection_order_does_not_change_the_conditional(
                                        config.analyzer_b, [alpha], [theta])
     assert a_first == pytest.approx(kernel[0, 0], abs=1e-9)
     assert b_first == pytest.approx(kernel[0, 0], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# analyzer identities: they hold for every state, so they need no oracle
+
+angles = st.floats(0.0, 2 * math.pi)
+holograms = st.builds(HologramSpec, ell=st.integers(1, 4), mode=modes, arm=arms)
+
+#: one entry per example that got past the polarizer
+checked = []
+
+
+@contextmanager
+def skip_blocked():
+    """Skip a setting where the polarizer blocks the state, and count the
+    examples that get past it."""
+    try:
+        yield
+    except NullOutcomeError:
+        assume(False)
+    checked.append(None)
+
+
+def polarizer_for(hologram, alpha, extinction):
+    return PolarizerSpec(alpha, extinction, "A" if hologram.arm == "B" else "B")
+
+
+@no_deadline
+@given(states, angles, unit, holograms, angles)
+def polarizer_completeness(state, alpha, extinction, hologram, theta):
+    polarizer = polarizer_for(hologram, alpha, extinction)
+    with skip_blocked():
+        joint, _ = analyzer_probabilities(state, polarizer, hologram,
+                                          [alpha, alpha + math.pi / 2], [theta])
+    alone, _ = analyzer_probabilities(state, None, hologram, [0.0], [theta])
+    assert abs(joint.sum() - alone[0, 0]) <= 1e-12
+
+
+@no_deadline
+@given(states, angles, unit, holograms, angles, angles)
+def sector_completeness(state, alpha, extinction, hologram, theta, other):
+    polarizer = polarizer_for(hologram, alpha, extinction)
+    thetas = [theta, theta + math.pi / 2, other, other + math.pi / 2]
+    with skip_blocked():
+        _, cond = analyzer_probabilities(state, polarizer, hologram, [alpha], thetas)
+    assert abs(cond[0, 0] + cond[0, 1] - cond[0, 2] - cond[0, 3]) <= 1e-12
+
+
+@no_deadline
+@given(states, angles, unit, holograms, angles)
+def sector_period(state, alpha, extinction, hologram, theta):
+    polarizer = polarizer_for(hologram, alpha, extinction)
+    with skip_blocked():
+        joint, cond = analyzer_probabilities(state, polarizer, hologram,
+                                             [alpha], [theta, theta + math.pi])
+    assert abs(joint[0, 0] - joint[0, 1]) <= 1e-12
+    assert abs(cond[0, 0] - cond[0, 1]) <= 1e-12
+
+
+@no_deadline
+@given(states, angles, unit, holograms, st.lists(angles, min_size=1, max_size=4))
+def leak_is_a_tilt(state, alpha, extinction, hologram, thetas):
+    leaky = polarizer_for(hologram, alpha, extinction)
+    tilted = polarizer_for(hologram, alpha + math.atan(extinction), 0.0)
+    with skip_blocked():
+        grids = [analyzer_probabilities(state, polarizer, hologram, [polarizer.alpha], thetas)
+                 for polarizer in (leaky, tilted)]
+    for leaky_grid, tilted_grid in zip(*grids):
+        assert np.max(np.abs(leaky_grid - tilted_grid)) <= 1e-12
+
+
+@no_deadline
+@given(states, angles, unit, holograms, angles)
+def joint_within_polarizer(state, alpha, extinction, hologram, theta):
+    polarizer = polarizer_for(hologram, alpha, extinction)
+    with skip_blocked():
+        joint, _ = analyzer_probabilities(state, polarizer, hologram, [alpha], [theta])
+    _, p_pol = apply_element(polarizer, state)
+    assert joint[0, 0] <= p_pol + 1e-12
+
+
+@pytest.mark.parametrize("identity", [
+    polarizer_completeness, sector_completeness, sector_period, leak_is_a_tilt,
+    joint_within_polarizer], ids=lambda identity: identity.__name__)
+def test_analyzer_identity(identity):
+    checked.clear()
+    identity()
+    # hypothesis ends a run early, without failing, once it has thrown away
+    # too many examples; the blocked settings must not cost a full run
+    assert len(checked) >= settings().max_examples
