@@ -40,7 +40,9 @@ class Mutant(NamedTuple):
     reason: str = ""
 
 
-EXP = "oam_eraser/experiment.py"
+EXP, ANA, OUT = (f"oam_eraser/{name}.py" for name in ("experiment", "analysis", "output"))
+PROPS = "tests/test_properties.py"
+CLI = "tests/test_cli.py::test_unreadable_scan_csv_exits_2_and_names_the_line"
 
 MUTANTS = (
     # the analyzer kernel
@@ -60,21 +62,78 @@ MUTANTS = (
            "renorm = (size[..., columns] > 0.0) / np.sqrt(",
            "renorm = 1.0 / np.sqrt(", (),
            "it moves values below PRUNE_TOL only"),
+    Mutant("binary-coupling-dropped", EXP,
+           'scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0',
+           "scale = 1.0",
+           ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
     # the exact fringe
-    Mutant("fringe-phase-sign", "oam_eraser/analysis.py",
+    Mutant("fringe-phase-sign", ANA,
            "np.exp(-2j * _FRINGE_THETAS)", "np.exp(2j * _FRINGE_THETAS)",
            ("tests/test_analysis.py::test_exact_fringes_match_a_least_squares_oracle",)),
-    # counting
+    Mutant("fringe-weight", ANA,
+           "_FRINGE_WEIGHTS = 2.0 / 3.0 *", "_FRINGE_WEIGHTS = 1.0 / 3.0 *",
+           (f"{PROPS}::test_analyzer_identity[exact_fringe_is_the_dense_fit]",)),
+    Mutant("fringe-offset-one-angle", ANA,
+           "probs.mean(axis=1).tolist()", "probs[:, 0].tolist()",
+           (f"{PROPS}::test_analyzer_identity[exact_fringe_is_the_dense_fit]",)),
+    # the sinusoid fit
+    Mutant("fit-phase-sign", ANA,
+           "phase = math.atan2(-c2, c1)", "phase = math.atan2(c2, c1)",
+           ("tests/test_analysis.py::test_fit_recovers_exact_parameters",)),
+    Mutant("fit-three-settings", ANA,
+           "if len(set(series.settings)) < 4:", "if len(set(series.settings)) < 3:",
+           ("tests/test_analysis.py::test_fit_needs_four_distinct_settings",)),
+    Mutant("fit-residual-sum", ANA,
+           "np.sqrt(np.mean(resid ** 2))", "np.sqrt(np.sum(resid ** 2))",
+           ("tests/test_analysis.py::test_fit_residual_is_the_rms_of_what_the_model_misses",)),
+    # counted scans
+    Mutant("counts-without-accidentals", EXP,
+           "counts.append(int(draw(rate * p + acc)))", "counts.append(int(draw(rate * p)))",
+           ("tests/test_experiment.py::test_counts_with_accidentals_equal_one_stream_per_point",)),
+    Mutant("counts-one-counter", EXP,
+           "        counter[2] = index\n", "",
+           ("tests/test_experiment.py::test_counts_equal_one_stream_per_point",)),
+    Mutant("counts-buffer-kept", EXP,
+           "        bitgen.state = state  #", "        #",
+           ("tests/test_experiment.py::test_counts_equal_one_stream_per_point",)),
     Mutant("accidentals-factor", EXP,
            "return (2.0 * self.singles_a", "return (1.0 * self.singles_a",
            ("tests/test_experiment.py::test_scan_counts_and_timeline_agree_on_accidentals",)),
+    # the timeline and its matcher
     Mutant("cluster-split-at-gate", EXP,
            "np.diff(stream[order]) > gate", "np.diff(stream[order]) >= gate",
-           ("tests/test_properties.py::test_matcher_agrees_with_walk_on_dyadic_streams",)),
+           (f"{PROPS}::test_matcher_agrees_with_walk_on_dyadic_streams",)),
+    Mutant("pair-cluster-on-one-arm", EXP,
+           "& starts[2:]\n                                   & (on_a[:-1] != on_a[1:])))",
+           "& starts[2:]))",
+           (f"{PROPS}::test_matcher_agrees_with_walk_on_dyadic_streams",)),
+    Mutant("walk-hit-strict", EXP,
+           "hit = np.abs(dt) <= gate", "hit = np.abs(dt) < gate",
+           (f"{PROPS}::test_matcher_agrees_with_walk_on_dyadic_streams",)),
     Mutant("arm-merge-unstable", EXP,
            'order = np.argsort(times, kind="stable")',
            'order = np.argsort(times, kind="quicksort")',
            ("tests/test_experiment.py::test_a_true_pair_click_comes_first_on_equal_times",)),
+    # the events CSV's digit groups
+    Mutant("strip-middle-group-never", OUT,
+           "_QUADS[mid + 10_000 * (low == 0)]", "_QUADS[mid]",
+           ("tests/test_experiment.py::test_events_csv_digit_groups_match_percent_oracle",)),
+    Mutant("strip-top-group-never", OUT,
+           "_QUADS[top + 10_000 * (q == 0)]", "_QUADS[top]",
+           ("tests/test_experiment.py::test_events_csv_digit_groups_match_percent_oracle",)),
+    Mutant("strip-middle-group-always", OUT,
+           "_QUADS[mid + 10_000 * (low == 0)]", "_QUADS[mid + 10_000]",
+           ("tests/test_experiment.py::test_events_csv_digit_groups_match_percent_oracle",)),
+    # read_scan_csv's row checks
+    Mutant("negative-count-read", OUT,
+           "if count is not None and count < 0:", "if count is not None and count < -5:",
+           (f"{CLI}[negative-count]",)),
+    Mutant("probability-range-read", OUT,
+           "if not -1e-9 <= cells[2] <= 1.0 + 1e-9:", "if not -1e-9 <= cells[2] <= 2.0:",
+           (f"{CLI}[probability-above-one]",)),
+    Mutant("non-finite-setting-read", OUT,
+           "if not all(map(math.isfinite, cells)):", "if not all(map(math.isfinite, cells[1:])):",
+           (f"{CLI}[inf-setting]",)),
     # hilbert
     Mutant("probability-tolerance", "oam_eraser/hilbert.py",
            "if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):",

@@ -83,6 +83,17 @@ def test_fit_recovers_exact_parameters():
     assert fit.residual_rms < 1e-10
 
 
+def test_fit_residual_is_the_rms_of_what_the_model_misses():
+    # on a uniform full-period grid a cos(6x) term is orthogonal to the
+    # model, so the fit leaves all of it: an rms of 0.05/sqrt(2)
+    thetas = np.linspace(0, 2 * math.pi, 36, endpoint=False)
+    values = 0.4 + 0.3 * np.cos(2 * thetas + 1.1) + 0.05 * np.cos(6 * thetas)
+    fit = fit_sinusoid(series_of(thetas, values))
+    assert fit.offset == pytest.approx(0.4, abs=1e-12)
+    assert fit.amplitude == pytest.approx(0.3, abs=1e-12)
+    assert fit.residual_rms == pytest.approx(0.05 / math.sqrt(2), abs=1e-12)
+
+
 def test_fit_phase_of_erased_scan():
     config = hybrid_eraser_config(alpha=math.pi / 4)
     _, fit = fitted_visibility(config)

@@ -2,6 +2,7 @@
 random states, of the config emitter and parser on random runs, and of the
 coincidence matcher on random click streams."""
 
+import cmath
 import math
 from contextlib import contextmanager
 from dataclasses import replace
@@ -22,6 +23,7 @@ from oam_eraser.elements import (
     apply_element,
 )
 from oam_eraser import experiment
+from oam_eraser.analysis import exact_fringes
 from oam_eraser.experiment import (
     CountingModel,
     ExperimentConfig,
@@ -344,9 +346,26 @@ def joint_within_polarizer(state, alpha, extinction, hologram, theta):
     assert joint[0, 0] <= p_pol + 1e-12
 
 
+@no_deadline
+@given(states, angles, unit, holograms)
+def exact_fringe_is_the_dense_fit(state, alpha, extinction, hologram):
+    # the sector scan is one harmonic, so a least-squares fit over 16 angles
+    # recovers what exact_fringes reads from three
+    polarizer = polarizer_for(hologram, alpha, extinction)
+    thetas = np.linspace(0.0, math.pi, 16, endpoint=False)
+    with skip_blocked():
+        _, cond = analyzer_probabilities(state, polarizer, hologram, [alpha], thetas)
+        fit, = exact_fringes(state, polarizer, hologram, [alpha])
+    design = np.column_stack([np.ones(16), np.cos(2 * thetas), np.sin(2 * thetas)])
+    (offset, c, s), *_ = np.linalg.lstsq(design, cond[0], rcond=None)
+    assert abs(fit.offset - offset) <= 1e-12
+    assert abs(fit.amplitude * cmath.exp(1j * fit.phase) - complex(c, -s)) <= 1e-12
+
+
 @pytest.mark.parametrize("identity", [
     polarizer_completeness, sector_completeness, sector_period, leak_is_a_tilt,
-    joint_within_polarizer], ids=lambda identity: identity.__name__)
+    joint_within_polarizer, exact_fringe_is_the_dense_fit],
+    ids=lambda identity: identity.__name__)
 def test_analyzer_identity(identity):
     checked.clear()
     identity()
