@@ -268,19 +268,17 @@ def test_projection_order_does_not_change_the_conditional(
 
 
 # ---------------------------------------------------------------------------
-# analyzer identities: they hold for every state, so they need no oracle
+# analyzer identities: they hold for every state, so they need no oracle;
+# the exact fringe is checked against a least-squares fit of the kernel
 
 angles = st.floats(0.0, 2 * math.pi)
 holograms = st.builds(HologramSpec, ell=st.integers(1, 4), mode=modes, arm=arms)
 
-#: one entry per example that got past the polarizer
-checked = []
-
 
 @contextmanager
-def skip_blocked():
-    """Skip a setting where the polarizer blocks the state, and count the
-    examples that get past it."""
+def skip_blocked(checked: list):
+    """Skip a setting where the polarizer blocks the state; append to
+    ``checked`` for each example that gets past it."""
     try:
         yield
     except NullOutcomeError:
@@ -294,9 +292,9 @@ def polarizer_for(hologram, alpha, extinction):
 
 @no_deadline
 @given(states, angles, unit, holograms, angles)
-def polarizer_completeness(state, alpha, extinction, hologram, theta):
+def polarizer_completeness(checked, state, alpha, extinction, hologram, theta):
     polarizer = polarizer_for(hologram, alpha, extinction)
-    with skip_blocked():
+    with skip_blocked(checked):
         joint, _ = analyzer_probabilities(state, polarizer, hologram,
                                           [alpha, alpha + math.pi / 2], [theta])
     alone, _ = analyzer_probabilities(state, None, hologram, [0.0], [theta])
@@ -305,19 +303,19 @@ def polarizer_completeness(state, alpha, extinction, hologram, theta):
 
 @no_deadline
 @given(states, angles, unit, holograms, angles, angles)
-def sector_completeness(state, alpha, extinction, hologram, theta, other):
+def sector_completeness(checked, state, alpha, extinction, hologram, theta, other):
     polarizer = polarizer_for(hologram, alpha, extinction)
     thetas = [theta, theta + math.pi / 2, other, other + math.pi / 2]
-    with skip_blocked():
+    with skip_blocked(checked):
         _, cond = analyzer_probabilities(state, polarizer, hologram, [alpha], thetas)
     assert abs(cond[0, 0] + cond[0, 1] - cond[0, 2] - cond[0, 3]) <= 1e-12
 
 
 @no_deadline
 @given(states, angles, unit, holograms, angles)
-def sector_period(state, alpha, extinction, hologram, theta):
+def sector_period(checked, state, alpha, extinction, hologram, theta):
     polarizer = polarizer_for(hologram, alpha, extinction)
-    with skip_blocked():
+    with skip_blocked(checked):
         joint, cond = analyzer_probabilities(state, polarizer, hologram,
                                              [alpha], [theta, theta + math.pi])
     assert abs(joint[0, 0] - joint[0, 1]) <= 1e-12
@@ -326,10 +324,10 @@ def sector_period(state, alpha, extinction, hologram, theta):
 
 @no_deadline
 @given(states, angles, unit, holograms, st.lists(angles, min_size=1, max_size=4))
-def leak_is_a_tilt(state, alpha, extinction, hologram, thetas):
+def leak_is_a_tilt(checked, state, alpha, extinction, hologram, thetas):
     leaky = polarizer_for(hologram, alpha, extinction)
     tilted = polarizer_for(hologram, alpha + math.atan(extinction), 0.0)
-    with skip_blocked():
+    with skip_blocked(checked):
         grids = [analyzer_probabilities(state, polarizer, hologram, [polarizer.alpha], thetas)
                  for polarizer in (leaky, tilted)]
     for leaky_grid, tilted_grid in zip(*grids):
@@ -338,9 +336,9 @@ def leak_is_a_tilt(state, alpha, extinction, hologram, thetas):
 
 @no_deadline
 @given(states, angles, unit, holograms, angles)
-def joint_within_polarizer(state, alpha, extinction, hologram, theta):
+def joint_within_polarizer(checked, state, alpha, extinction, hologram, theta):
     polarizer = polarizer_for(hologram, alpha, extinction)
-    with skip_blocked():
+    with skip_blocked(checked):
         joint, _ = analyzer_probabilities(state, polarizer, hologram, [alpha], [theta])
     _, p_pol = apply_element(polarizer, state)
     assert joint[0, 0] <= p_pol + 1e-12
@@ -348,12 +346,12 @@ def joint_within_polarizer(state, alpha, extinction, hologram, theta):
 
 @no_deadline
 @given(states, angles, unit, holograms)
-def exact_fringe_is_the_dense_fit(state, alpha, extinction, hologram):
+def exact_fringe_is_the_dense_fit(checked, state, alpha, extinction, hologram):
     # the sector scan is one harmonic, so a least-squares fit over 16 angles
     # recovers what exact_fringes reads from three
     polarizer = polarizer_for(hologram, alpha, extinction)
     thetas = np.linspace(0.0, math.pi, 16, endpoint=False)
-    with skip_blocked():
+    with skip_blocked(checked):
         _, cond = analyzer_probabilities(state, polarizer, hologram, [alpha], thetas)
         fit, = exact_fringes(state, polarizer, hologram, [alpha])
     design = np.column_stack([np.ones(16), np.cos(2 * thetas), np.sin(2 * thetas)])
@@ -367,8 +365,8 @@ def exact_fringe_is_the_dense_fit(state, alpha, extinction, hologram):
     joint_within_polarizer, exact_fringe_is_the_dense_fit],
     ids=lambda identity: identity.__name__)
 def test_analyzer_identity(identity):
-    checked.clear()
-    identity()
+    checked = []
+    identity(checked)
     # hypothesis ends a run early, without failing, once it has thrown away
     # too many examples; the blocked settings must not cost a full run
     assert len(checked) >= settings().max_examples
