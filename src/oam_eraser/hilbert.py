@@ -43,6 +43,7 @@ PRUNE_TOL = 1e-15
 #: Projection probabilities below this count as a null outcome.
 NULL_TOL = 1e-14
 
+
 class OamOverflowError(ValueError):
     """An operation pushed an OAM index beyond the configured cap."""
 

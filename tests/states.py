@@ -47,7 +47,8 @@ def product(a: dict, b: dict):
 
 
 def overlap(a, b) -> complex:
-    """Inner product <a|b> of two joint states."""
+    """Inner product <a|b> of two joint states; the tests take two states
+    as equal up to one global phase when ``abs(overlap(a, b)) == 1``."""
     return sum((amp.conjugate() * b.amplitudes.get(k, 0j)
                 for k, amp in a.amplitudes.items()), 0j)
 
