@@ -16,7 +16,7 @@ from oam_eraser.hilbert import POL_H, POL_V, joint_ket, postselect_local
 _S = 1 / math.sqrt(2)
 
 #: The hilbert docstring's conventions, H = 0 and V = 1.
-POL_STATES = {
+_POL_STATES = {
     "H": {POL_H: 1.0},
     "V": {POL_V: 1.0},
     "D": {POL_H: _S, POL_V: _S},
@@ -28,7 +28,7 @@ POL_STATES = {
 
 def pol(name: str, ell: int = 0) -> dict:
     """One of H, V, D, A, R, L at a fixed OAM index."""
-    return {(p, ell): complex(c) for p, c in POL_STATES[name].items()}
+    return {(p, ell): complex(c) for p, c in _POL_STATES[name].items()}
 
 
 def basis(p: int, ell: int = 0) -> dict:
