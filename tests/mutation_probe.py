@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 EXP, ANA, OUT = (f"oam_eraser/{name}.py" for name in ("experiment", "analysis", "output"))
 PROPS = "tests/test_properties.py"
 CLI = "tests/test_cli.py::test_unreadable_scan_csv_exits_2_and_names_the_line"
+MATCHER = "tests/test_experiment.py::test_matcher_agrees_with_walk_on_adversarial_streams"
 
 MUTANTS = (
     # the analyzer kernel
@@ -62,6 +63,12 @@ MUTANTS = (
            "renorm = (size[..., columns] > 0.0) / np.sqrt(",
            "renorm = 1.0 / np.sqrt(", (),
            "it moves values below PRUNE_TOL only"),
+    Mutant("transmission-leak-sign", "oam_eraser/elements.py",
+           "(sa + e * ca) * scale", "(sa - e * ca) * scale",
+           (f"{PROPS}::test_analyzer_identity",)),
+    Mutant("polarizer-reads-one-row", EXP,
+           "(t[:, 0] * psi[0] + t[:, 1] * psi[1])", "(t[:, 0] * psi[0] + t[:, 1] * psi[0])",
+           (f"{PROPS}::test_analyzer_identity",)),
     Mutant("binary-coupling-dropped", EXP,
            'scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0',
            "scale = 1.0",
@@ -102,14 +109,14 @@ MUTANTS = (
     # the timeline and its matcher
     Mutant("cluster-split-at-gate", EXP,
            "np.diff(stream[order]) > gate", "np.diff(stream[order]) >= gate",
-           (f"{PROPS}::test_matcher_agrees_with_walk_on_dyadic_streams",)),
+           (MATCHER,)),
     Mutant("pair-cluster-on-one-arm", EXP,
            "& starts[2:]\n                                   & (on_a[:-1] != on_a[1:])))",
            "& starts[2:]))",
-           (f"{PROPS}::test_matcher_agrees_with_walk_on_dyadic_streams",)),
+           (MATCHER,)),
     Mutant("walk-hit-strict", EXP,
            "hit = np.abs(dt) <= gate", "hit = np.abs(dt) < gate",
-           (f"{PROPS}::test_matcher_agrees_with_walk_on_dyadic_streams",)),
+           (MATCHER,)),
     Mutant("arm-merge-unstable", EXP,
            'order = np.argsort(times, kind="stable")',
            'order = np.argsort(times, kind="quicksort")',

@@ -852,6 +852,7 @@ MATCHER_CASES = {
     "burst on one arm": ([1.0] * 3 + [1.25, 1.5], [1.5, 1.75], 0.25, 2),
     "tie at +gate": ([0.5, 1.5, 2.5], [0.25, 1.25, 2.25], 0.25, 3),
     "tie at -gate": ([0.25, 1.25], [0.5, 1.5], 0.25, 2),
+    "tie at the gate in a three-click cluster": ([0.0], [0.25, 0.375], 0.25, 1),
     "just outside the gate": ([0.0, 4.0], [0.25 + 2.0 ** -50, 3.75 - 2.0 ** -50],
                               0.25, 0),
     "equal times on both arms": ([1.0, 1.0, 2.0, 3.0], [1.0, 2.0, 2.0, 3.0],
