@@ -160,8 +160,9 @@ def postselect_local(terms: tuple, arm: str, state: JointKet):
     """Apply a non-unitary operator's terms and renormalize.
 
     Returns ``(state, probability)`` where the probability is the squared
-    norm of the unnormalized result; a probability below ``NULL_TOL``
-    yields ``(None, 0.0)`` (the null outcome).
+    norm of the unnormalized result, checked into [0, 1] (rounding can
+    carry it past 1) before it enters ``norm_tracked``; a probability
+    below ``NULL_TOL`` yields ``(None, 0.0)`` (the null outcome).
     """
     raw = apply_local(terms, arm, state)
     p = sum(abs(a) ** 2 for a in raw.amplitudes.values())
@@ -169,6 +170,7 @@ def postselect_local(terms: tuple, arm: str, state: JointKet):
         return None, 0.0
     scale = 1.0 / math.sqrt(p)
     amps = _prune({k: a * scale for k, a in raw.amplitudes.items()})
+    p = checked_probability(p)
     return JointKet(amps, checked_probability(state.norm_tracked * p)), p
 
 

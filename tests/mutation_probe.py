@@ -150,6 +150,9 @@ MUTANTS = (
            "scale = 1.0 / math.sqrt(p)", "scale = 1.0",
            ("tests/test_hilbert.py::test_project_bell_onto_right_circular_collapses_partner",
             "tests/test_properties.py::test_project_matches_a_dense_contraction")),
+    Mutant("postselect-probability-unchecked", "oam_eraser/hilbert.py",
+           "    p = checked_probability(p)\n", "",
+           (f"{PROPS}::test_pipeline_probability_is_the_product_of_the_element_probabilities",)),
     Mutant("apply-local-key-order", "oam_eraser/hilbert.py",
            "for pol_out in (POL_H, POL_V):", "for pol_out in (POL_V, POL_H):",
            ("tests/test_hilbert.py::test_output_labels_follow_input_then_term_then_polarization",)),
@@ -193,7 +196,7 @@ def survivors(mutants=MUTANTS) -> list:
     out = []
     for mutant in mutants:
         outcome = run(mutant)
-        print(f"{mutant.name:30s} {outcome}{': ' + mutant.reason if mutant.reason else ''}")
+        print(f"{mutant.name:34s} {outcome}{': ' + mutant.reason if mutant.reason else ''}")
         if outcome == "survived":
             out.append(mutant.name)
     return out

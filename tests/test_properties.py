@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oam_eraser.configio import RunSpec, ScanSpec, emit_config, parse_config
 from oam_eraser.elements import (
@@ -211,6 +211,10 @@ def test_emit_parse_emit_is_a_fixed_point(run):
 
 @no_deadline
 @given(configs)
+# 59 flat source terms: their squares sum to 1 + 2.4e-15, past the bound
+# unless the element's probability is checked before it is tracked
+@example(ExperimentConfig(source=SourceSpec(l_max=29),
+                          elements_b=(PolarizerSpec(0.0, arm="B"),)))
 def test_pipeline_probability_is_the_product_of_the_element_probabilities(config):
     try:
         _, probability = experiment.run_pipeline(config)
@@ -243,17 +247,38 @@ def test_matcher_agrees_with_walk_on_dyadic_streams(times_a, times_b, gate):
 # projection order
 
 
+@st.composite
+def analyzed(draw, hologram_arms=arms):
+    """A ``states`` draw and a hologram that sees a fringe in it.
+
+    Labels get partners mirrored in the hologram arm's OAM (``ell -> -ell``)
+    and the hologram's ``ell`` is one the state carries on that arm, since a
+    state without both of ``+ell`` and ``-ell`` scans flat, and a flat scan
+    meets the sector identities whatever the kernel does.
+    """
+    state, arm = draw(states), draw(hologram_arms)
+    at = 1 if arm == "A" else 3
+    amps = dict(state.amplitudes)
+    for key, amp in state.amplitudes.items():
+        if draw(st.booleans()):
+            amps.setdefault(key[:at] + (-key[at],) + key[at + 1:], amp * draw(amplitudes))
+    carried = sorted({abs(key[at]) for key in amps} - {0})
+    ell = draw(st.sampled_from(carried) if carried else st.integers(1, 4))
+    return joint_ket(amps), HologramSpec(ell=ell, mode=draw(modes), arm=arm)
+
+
 @no_deadline
-@given(states, st.floats(0.0, 2 * math.pi), unit,
-       st.integers(1, 4), st.floats(0.0, 2 * math.pi), modes)
+@given(analyzed(st.just("B")), st.floats(0.0, 2 * math.pi), unit,
+       st.floats(0.0, 2 * math.pi))
 def test_projection_order_does_not_change_the_conditional(
-        state, alpha, extinction, ell, theta, mode):
+        setting, alpha, extinction, theta):
     """Polarizer first, hologram first and the grid kernel give one
     conditional probability for any pipeline state."""
+    state, hologram = setting
     config = ExperimentConfig(
         source=SourceSpec(),
         analyzer_a=PolarizerSpec(alpha, extinction, arm="A"),
-        analyzer_b=HologramSpec(ell=ell, mode=mode, arm="B"))
+        analyzer_b=hologram)
     with mock.patch.object(experiment, "run_pipeline",
                            lambda _: (state, 1.0)):
         try:
@@ -272,26 +297,6 @@ def test_projection_order_does_not_change_the_conditional(
 # the exact fringe is checked against a least-squares fit of the kernel
 
 angles = st.floats(0.0, 2 * math.pi)
-
-
-@st.composite
-def analyzed(draw):
-    """A ``states`` draw and a hologram that sees a fringe in it.
-
-    Labels get partners mirrored in the hologram arm's OAM (``ell -> -ell``)
-    and the hologram's ``ell`` is one the state carries on that arm, since a
-    state without both of ``+ell`` and ``-ell`` scans flat, and a flat scan
-    meets the sector identities whatever the kernel does.
-    """
-    state, arm = draw(states), draw(arms)
-    at = 1 if arm == "A" else 3
-    amps = dict(state.amplitudes)
-    for key, amp in state.amplitudes.items():
-        if draw(st.booleans()):
-            amps.setdefault(key[:at] + (-key[at],) + key[at + 1:], amp * draw(amplitudes))
-    carried = sorted({abs(key[at]) for key in amps} - {0})
-    ell = draw(st.sampled_from(carried) if carried else st.integers(1, 4))
-    return joint_ket(amps), HologramSpec(ell=ell, mode=draw(modes), arm=arm)
 
 
 @contextmanager
