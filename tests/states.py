@@ -31,10 +31,6 @@ def pol(name: str, ell: int = 0) -> dict:
     return {(p, ell): complex(c) for p, c in _POL_STATES[name].items()}
 
 
-def basis(p: int, ell: int = 0) -> dict:
-    return {(p, ell): 1.0 + 0.0j}
-
-
 def normalized(amplitudes: dict) -> dict:
     n = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
     return {k: complex(a) / n for k, a in amplitudes.items()}

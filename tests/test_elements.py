@@ -25,7 +25,7 @@ from oam_eraser.elements import (
 from oam_eraser.hilbert import POL_H, POL_V, apply_local, joint_ket
 
 from conftest import bell_circular, marked_pair
-from states import basis, overlap, pol, product
+from states import overlap, pol, product
 
 ROOT2 = math.sqrt(2.0)
 
@@ -36,15 +36,15 @@ ROOT2 = math.sqrt(2.0)
 
 def test_qplate_shifts_right_circular_up_and_flips():
     op = qplate_operator(QPlateSpec(q=0.5))
-    state = product(pol("R", 0), basis(POL_H, 0))
+    state = product(pol("R", 0), pol("H", 0))
     out = apply_local(op, "A", state)
-    expected = product(pol("L", 1), basis(POL_H, 0))
+    expected = product(pol("L", 1), pol("H", 0))
     assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qplate_on_horizontal_splits_both_ways():
     op = qplate_operator(QPlateSpec(q=0.5))
-    state = product(pol("H", 0), basis(POL_H, 0))
+    state = product(pol("H", 0), pol("H", 0))
     out = apply_local(op, "A", state)
     expected = joint_ket({
         # (|1>|L> + |-1>|R>)/sqrt2 written in the H/V basis
@@ -58,7 +58,7 @@ def test_qplate_on_horizontal_splits_both_ways():
 
 def test_qplate_twice_returns_to_start():
     op = qplate_operator(QPlateSpec(q=0.5))
-    state = product(pol("R", 0), basis(POL_H, 0))
+    state = product(pol("R", 0), pol("H", 0))
     out = apply_local(op, "A", apply_local(op, "A", state))
     assert abs(overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
@@ -69,9 +69,9 @@ def test_qplate_flips_circular_handedness_for_random_oam():
     for _ in range(10):
         ell = int(rng.integers(-10, 10))
         for name, flipped, shift in (("R", "L", 2), ("L", "R", -2)):
-            state = product(pol(name, ell), basis(POL_H, 0))
+            state = product(pol(name, ell), pol("H", 0))
             out = apply_local(op, "A", state)
-            expected = product(pol(flipped, ell + shift), basis(POL_H, 0))
+            expected = product(pol(flipped, ell + shift), pol("H", 0))
             assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -89,9 +89,9 @@ def test_qplate_rejects_non_finite_charge(q):
 def test_zero_charge_qplate_is_a_half_wave_plate():
     # both shift blocks land on the input OAM: (U_up + U_down) = diag(1, -1)
     op = qplate_operator(QPlateSpec(q=0.0))
-    state = product(pol("D", 3), basis(POL_H, 0))
+    state = product(pol("D", 3), pol("H", 0))
     out = apply_local(op, "A", state)
-    expected = product(pol("A", 3), basis(POL_H, 0))
+    expected = product(pol("A", 3), pol("H", 0))
     assert overlap(expected, out) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -128,8 +128,8 @@ def test_quarter_wave_plate_linearizes_circular_light():
     assert abs(out_vec[1]) == pytest.approx(0.0, abs=1e-15)
     assert abs(out_vec[0]) == pytest.approx(1.0, abs=1e-15)
     op = waveplate_operator(WavePlateSpec("quarter", math.pi / 4, arm="A"))
-    out = apply_local(op, "A", product(pol("R"), basis(POL_H, 0)))
-    left = product(pol("L"), basis(POL_H, 0))
+    out = apply_local(op, "A", product(pol("R"), pol("H", 0)))
+    left = product(pol("L"), pol("H", 0))
     assert abs(overlap(left, out)) == pytest.approx(1 / ROOT2, abs=1e-12)
 
 
@@ -145,24 +145,24 @@ def test_waveplate_validation():
 
 
 def test_ideal_polarizer_passes_aligned_light():
-    state = product(pol("H"), basis(POL_H, 0))
+    state = product(pol("H"), pol("H", 0))
     out, prob = apply_element(PolarizerSpec(alpha=0.0), state)
     assert prob == pytest.approx(1.0, abs=1e-12)
     assert abs(overlap(state, out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_polarizer_blocks_crossed_light():
-    state = product(pol("V"), basis(POL_H, 0))
+    state = product(pol("V"), pol("H", 0))
     out, prob = apply_element(PolarizerSpec(alpha=0.0), state)
     assert out is None
     assert prob == 0.0
 
 
 def test_polarizer_at_45_degrees_halves_horizontal():
-    state = product(pol("H"), basis(POL_H, 0))
+    state = product(pol("H"), pol("H", 0))
     out, prob = apply_element(PolarizerSpec(alpha=math.pi / 4), state)
     assert prob == pytest.approx(0.5, abs=1e-12)
-    expected = product(pol("D"), basis(POL_H, 0))
+    expected = product(pol("D"), pol("H", 0))
     assert abs(overlap(expected, out)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_fiber_with_no_matching_component_is_null():
 
 
 def test_sector_projection_of_single_mode_is_half():
-    state = product(pol("H", 0), basis(POL_H, 1))
+    state = product(pol("H", 0), pol("H", 1))
     _, prob = apply_element(HologramSpec(ell=1, theta=0.0, arm="B"), state)
     assert prob == pytest.approx(0.5, abs=1e-12)
 

@@ -22,7 +22,7 @@ from oam_eraser.hilbert import (
 
 from conftest import bell_circular, marked_pair
 from density_oracle import density_matrix, reduced_density, trace_distance
-from states import basis, normalized, overlap, pol, product, project
+from states import normalized, overlap, pol, product, project
 
 ROOT2 = math.sqrt(2.0)
 
@@ -32,7 +32,7 @@ ROOT2 = math.sqrt(2.0)
 
 
 def test_tensor_of_basis_states_is_single_entry():
-    state = product(basis(POL_H, 0), basis(POL_H, 0))
+    state = product(pol("H", 0), pol("H", 0))
     assert set(state.amplitudes) == {(POL_H, 0, POL_H, 0)}
     assert state.amplitudes[(POL_H, 0, POL_H, 0)] == pytest.approx(1.0)
 
@@ -122,7 +122,7 @@ def test_output_labels_follow_input_then_term_then_polarization():
 def test_oam_overflow_guard():
     only_h = ((1.0 + 0.0j, 0.0j), (0.0j, 0.0j))
     shift = ((only_h, L_CAP, 1),)
-    state = product(basis(POL_H, L_CAP), basis(POL_H, 0))
+    state = product(pol("H", L_CAP), pol("H", 0))
     with pytest.raises(OamOverflowError, match="OAM support overflow"):
         apply_local(shift, "A", state)
     with pytest.raises(OamOverflowError):
@@ -137,7 +137,7 @@ def test_project_bell_onto_right_circular_collapses_partner():
     state = bell_circular(ell=1)
     post, prob = project(state, "A", pol("R"))
     assert prob == pytest.approx(0.5, abs=1e-12)
-    expected = product(pol("R", 0), basis(POL_H, 1))
+    expected = product(pol("R", 0), pol("H", 1))
     assert abs(overlap(expected, post)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -173,9 +173,9 @@ def test_born_completeness_over_local_basis():
         }
         state = joint_ket(amps)
         total = 0.0
-        for p_a in (POL_H, POL_V):
+        for name in "HV":
             for ell in (-1, 0):
-                _, p = project(state, "A", basis(p_a, ell))
+                _, p = project(state, "A", pol(name, ell))
                 total += p
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -233,7 +233,7 @@ def test_trace_distance_examples():
     pol_basis = ((POL_H,), (POL_V,))
 
     def pol_density(name):
-        return reduced_density(product(pol(name), basis(POL_H, 0)),
+        return reduced_density(product(pol(name), pol("H", 0)),
                                "A", "pol", basis=pol_basis)
 
     h, v, d = pol_density("H"), pol_density("V"), pol_density("D")
@@ -244,7 +244,7 @@ def test_trace_distance_examples():
 
 
 def test_trace_distance_requires_matching_basis():
-    h = reduced_density(product(pol("H"), basis(POL_H, 0)), "A", "pol")
+    h = reduced_density(product(pol("H"), pol("H", 0)), "A", "pol")
     big = density_matrix(((POL_H,), (POL_V,), ("x",)), np.eye(3) / 3)
     with pytest.raises(ValueError, match="different bases"):
         trace_distance(h, big)
