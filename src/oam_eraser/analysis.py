@@ -21,8 +21,9 @@ from .hilbert import NULL_TOL, JointKet, checked_probability
 from .experiment import (
     ExperimentConfig,
     ScanSeries,
-    _analyzer_core,
-    run_pipeline,
+    _config_moments,
+    _fringe_form,
+    _moments,
 )
 
 
@@ -122,22 +123,23 @@ def theoretical_visibility(alpha: float) -> float:
     return abs(math.sin(2.0 * alpha))
 
 
-_FRINGE_THETAS = math.pi / 3.0 * np.arange(3)
-_FRINGE_SECTOR = el.sector_coefficients(_FRINGE_THETAS)
-_FRINGE_WEIGHTS = 2.0 / 3.0 * np.exp(-2j * _FRINGE_THETAS)
-_FRINGE_THETAS.flags.writeable = _FRINGE_WEIGHTS.flags.writeable = False
-_FRINGE_SECTOR.flags.writeable = False
-
-
 def exact_fringes(state: JointKet, polarizer, hologram, alphas) -> list:
     """Exact fringe of the sector scan at each polarizer angle (one fringe for
-    ``polarizer=None``).  The scan is one harmonic, fixed by the kernel at three
-    angles ``theta_k`` a third of a period apart, whose sector vectors are cached:
-    ``offset = mean(p_k)``, ``amplitude*e^{i phase} = (2/3) sum_k p_k e^{-2i theta_k}``."""
-    _, probs = _analyzer_core(state, polarizer, hologram, alphas, _FRINGE_SECTOR)
-    coeffs = probs @ _FRINGE_WEIGHTS
+    ``polarizer=None``).  The scan is one harmonic: with ``K`` and ``p_pol``
+    from the quadratic form (:func:`~oam_eraser.experiment._fringe_form`), the
+    joint probability at ``theta`` is ``(K00 + K11)/2 + Re(K01 e^{2i theta})``,
+    so ``offset = (K00 + K11)/(2 p_pol)`` and
+    ``amplitude*e^{i phase} = K01/p_pol``."""
+    return _exact_fringes(_moments(state, hologram.ell, hologram.arm), polarizer,
+                          hologram, alphas)
+
+
+def _exact_fringes(moments, polarizer, hologram, alphas) -> list:
+    K, p_pol = _fringe_form(moments, polarizer, hologram, alphas)
+    offsets = (K[:, 0, 0] + K[:, 1, 1]).real / (2.0 * p_pol)
+    coeffs = K[:, 0, 1] / p_pol
     return [FringeFit(o, abs(c), cmath.phase(c), 0.0)
-            for o, c in zip(probs.mean(axis=1).tolist(), coeffs.tolist())]
+            for o, c in zip(offsets.tolist(), coeffs.tolist())]
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,8 @@ def visibility_points(alphas, series) -> list:
 
 def visibility_curve(config: ExperimentConfig, alphas, theta_points=None):
     """Exact scan visibility per polarizer angle; ``theta_points`` has no effect."""
-    state, _ = run_pipeline(config)
-    fits = exact_fringes(state, config.analyzer_a, config.analyzer_b, alphas)
+    fits = _exact_fringes(_config_moments(config), config.analyzer_a,
+                          config.analyzer_b, alphas)
     return [VisibilityPoint(float(alpha), fit_visibility(fit), fit)
             for alpha, fit in zip(alphas, fits)]
 

@@ -27,7 +27,7 @@ defaults included, so ``emit -> parse -> emit`` is byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class ConfigError(ValueError):
         self.key = key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanSpec:
     """The angles to sweep; the subcommand picks the hologram angle, the
     polarizer angle or the full grid."""
@@ -79,7 +79,7 @@ class ScanSpec:
         return np.linspace(self.alpha_start, self.alpha_stop, self.alpha_points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunSpec:
     config: ExperimentConfig
     scan: ScanSpec
@@ -244,8 +244,9 @@ def parse_config(text: str) -> RunSpec:
     source = guard("source", replace, SourceSpec(), **src)
     delay_m = cnt.pop("extra_path", 0.0)
     counting = guard("counting", replace, CountingModel(), key="seed", **cnt)
-    analyzer_a = guard("analyzers", replace, ExperimentConfig.analyzer_a, **pol)
-    analyzer_b = guard("analyzers", replace, ExperimentConfig.analyzer_b, **holo)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    analyzer_a = guard("analyzers", replace, defaults["analyzer_a"], **pol)
+    analyzer_b = guard("analyzers", replace, defaults["analyzer_b"], **holo)
     elements_a = arms["arm_a.element"]
     if delay_m > 0.0:
         elements_a.append(guard("counting", el.DelaySpec, delay_m, arm="A"))
@@ -296,12 +297,12 @@ def emit_config(run: RunSpec) -> str:
                 continue
             name = el.element_name(spec)
             elements.append([f"[{arm}.element]", f"type = {name}",
-                             *_lines((_ELEMENTS[name][1],), (vars(spec),))])
+                             *_lines((_ELEMENTS[name][1],), (asdict(spec),))])
     # one field dict per table of _SINGLES, in its order
-    values = ((vars(cfg.source),),
-              (vars(cfg.analyzer_a), vars(cfg.analyzer_b)),
-              ({**vars(cfg.counting), "extra_path": delay_m},),
-              (vars(run.scan),))
+    values = ((asdict(cfg.source),),
+              (asdict(cfg.analyzer_a), asdict(cfg.analyzer_b)),
+              ({**asdict(cfg.counting), "extra_path": delay_m},),
+              (asdict(run.scan),))
     blocks = [[f"[{name}]", *_lines(tables, vals)]
               for (name, tables), vals in zip(_SINGLES.items(), values)]
     blocks[1:1] = elements  # element sections follow [source]

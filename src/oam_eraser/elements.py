@@ -49,7 +49,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 # element specs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QPlateSpec:
     """Geometric-phase plate of charge ``q`` (2q must be an integer)."""
 
@@ -63,7 +63,7 @@ class QPlateSpec:
         _check_arm(self.arm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WavePlateSpec:
     kind: str  # "quarter" or "half"
     fast_axis: float  # radians from horizontal, in [0, pi)
@@ -77,7 +77,7 @@ class WavePlateSpec:
         _check_arm(self.arm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarizerSpec:
     """Linear polarizer at ``alpha`` with an amplitude leak ``extinction``.
 
@@ -99,7 +99,7 @@ class PolarizerSpec:
         _check_arm(self.arm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberSpec:
     """Single-mode fiber: keeps only one OAM index on its arm."""
 
@@ -112,7 +112,7 @@ class FiberSpec:
             raise ValueError("accepted OAM index beyond cap")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HologramSpec:
     """Azimuthal analyzer for the ``{+ell, -ell}`` subspace.
 
@@ -135,7 +135,7 @@ class HologramSpec:
         _check_arm(self.arm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelaySpec:
     """Extra free-space path on one arm; affects timing metadata only."""
 

@@ -10,9 +10,10 @@ azimuthal hologram; the conditional coincidence probability follows
 
 exactly for the ideal configuration, which the test suite pins on a grid.
 
-Every analyzer probability comes from one kernel; fixed angle sets (a scan's
-full turn, the exact fringe's three) pass it cached sector vectors, and
-:func:`causal_order_probability` stays on the sparse operators as a reference.
+Every analyzer probability is one quadratic form of a state's moments ``(M, P)``
+(:func:`analyzer_probabilities`), which fix every grid, scan and exact fringe and
+are cached read-only for pipeline states; :func:`causal_order_probability` stays
+on the sparse operators as a reference.
 
 Counted scans draw from counter-based Philox streams keyed by ``(seed,
 repetition, point index)``, so results do not depend on the order of the
@@ -39,7 +40,6 @@ from .hilbert import (
     NULL_TOL,
     POL_H,
     POL_V,
-    PRUNE_TOL,
     JointKet,
     checked_probability,
     joint_ket,
@@ -61,7 +61,7 @@ class NullOutcomeError(RuntimeError):
 # configuration types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpec:
     """Photon-pair source.
 
@@ -100,7 +100,7 @@ class SourceSpec:
         return {ell: v / norm for ell, v in raw.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountingModel:
     """Coincidence counting parameters; all rates in events per second.
 
@@ -137,7 +137,7 @@ class CountingModel:
                 * self.integration_time)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     source: SourceSpec
     elements_a: tuple = ()
@@ -229,7 +229,7 @@ class EventTable:
                 gc.enable()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanSeries:
     """One parameter scan: settings, probabilities and (optional) counts."""
 
@@ -249,10 +249,12 @@ class ScanSeries:
                 raise ValueError("probabilities must lie in [0, 1]")
 
 
-#: arm A of the canonical eraser, shared by every config built from it
+#: arm A and the holograms of the canonical eraser, shared by every config built from it
 _CANONICAL_ARM_A = (el.QPlateSpec(q=0.5, arm="A"),
                     el.FiberSpec(arm="A", accepted_ell=0),
                     el.WavePlateSpec(kind="quarter", fast_axis=math.pi / 4, arm="A"))
+_CANONICAL_HOLOGRAMS = {mode: el.HologramSpec(ell=1, mode=mode, arm="B")
+                        for mode in ("ideal", "binary")}
 
 
 def hybrid_eraser_config(alpha: float = 0.0,
@@ -272,7 +274,8 @@ def hybrid_eraser_config(alpha: float = 0.0,
         elements_a=_CANONICAL_ARM_A + delay,
         elements_b=(),
         analyzer_a=el.PolarizerSpec(alpha=alpha, extinction=extinction, arm="A"),
-        analyzer_b=el.HologramSpec(ell=1, mode=hologram_mode, arm="B"),
+        analyzer_b=(_CANONICAL_HOLOGRAMS.get(hologram_mode)
+                    or el.HologramSpec(ell=1, mode=hologram_mode, arm="B")),
         counting=counting or CountingModel(),
     )
 
@@ -322,47 +325,76 @@ def run_pipeline(config: ExperimentConfig):
 def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas):
     """Joint and conditional analyzer probabilities over an (alpha, theta) grid.
 
-    Contracts the dense ``psi[pol, ell, pol_h, ell_h]`` (hologram arm last)
-    with each polarizer transmission vector, renormalizes, then with each
-    conjugated sector vector.  Amplitudes below ``PRUNE_TOL`` are dropped
-    as the sparse operators drop them, so dark fringes are exactly zero.
-    Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
-    ``polarizer=None`` analyzes the hologram arm alone, in one row.
+    Each joint probability is the Hermitian form ``w^T M w*`` of the state's
+    moments (:func:`_moments`), ``w = t (x) conj(s)`` for the transmission
+    vector ``t`` and the sector vector ``s``, times the binary coupling squared
+    in binary mode; the conditional divides out ``p_pol = t^T P t``.  A joint
+    probability below ``NULL_TOL`` is set to exactly 0, so dark fringes are
+    exact zeros.  Returns ``(joint, conditional)`` of shape ``(len(alphas),
+    len(thetas))``; ``polarizer=None`` analyzes the hologram arm alone, in one row.
     """
-    return _analyzer_core(state, polarizer, hologram, alphas, el.sector_coefficients(thetas))
+    return _analyzer_core(_moments(state, hologram.ell, hologram.arm), polarizer,
+                          hologram, alphas, el.sector_coefficients(thetas))
 
 
-def _analyzer_core(state: JointKet, polarizer, hologram, alphas, sector):
-    """:func:`analyzer_probabilities` given the sector vectors of its angles."""
+def _moments(state: JointKet, ell: int, hologram_arm: str) -> tuple:
+    """``(M, P)``: ``M[p, y, p', y'] = sum psi[p, x, q, y] psi*[p', x, q, y']``
+    for ``y, y'`` in ``(ell, -ell)``, summed over the other arm's OAM ``x`` and
+    the hologram arm's polarization ``q``; ``P``, the real part (``t`` is real)
+    of the other arm's 2x2 polarization matrix."""
+    px, lx, py, ly = (0, 1, 2, 3) if hologram_arm == "B" else (2, 3, 0, 1)
+    rest, paired = {}, {}
+    for k, amp in state.amplitudes.items():
+        rest.setdefault((k[lx], k[py], k[ly]), [0j, 0j])[k[px]] = amp
+        if k[ly] == ell or k[ly] == -ell:
+            paired.setdefault((k[lx], k[py]), [0j] * 4)[2 * k[px] + (k[ly] != ell)] = amp
+    a = np.array(list(rest.values())).T
+    b = np.array(list(paired.values()), dtype=complex).reshape(-1, 4).T
+    return (b @ b.conj().T).reshape(2, 2, 2, 2), (a @ a.conj().T).real
+
+
+@lru_cache(maxsize=128)
+def _pipeline_moments(source, elements_a: tuple, elements_b: tuple, ell: int, arm: str):
+    moments = _moments(_pipeline(source, elements_a, elements_b)[0], ell, arm)
+    for matrix in moments:  # every caller shares them
+        matrix.flags.writeable = False
+    return moments
+
+
+def _config_moments(config: ExperimentConfig) -> tuple:
+    """The cached, read-only ``(M, P)`` of a config's pipeline state."""
+    return _pipeline_moments(config.source, config.elements_a, config.elements_b,
+                             config.analyzer_b.ell, config.analyzer_b.arm)
+
+
+def _fringe_form(moments: tuple, polarizer, hologram, alphas) -> tuple:
+    """``(K, p_pol)`` per polarizer angle: ``K[y, y'] = sum t_p t_p' M[p, y, p', y']``
+    times the binary coupling squared, so the joint probability at sector
+    vector ``s`` is ``s^H K s``, and ``p_pol = t^T P t``; for ``polarizer=None``,
+    one ``K`` traced over the polarization and ``p_pol = 1``."""
     if polarizer is not None and polarizer.arm == hologram.arm:
         raise ValueError("polarizer and hologram must sit on different arms")
-    ell = hologram.ell
-    px, lx, py, ly = (0, 1, 2, 3) if hologram.arm == "B" else (2, 3, 0, 1)
-    amps = state.amplitudes
-    at_x = {e: i for i, e in enumerate(sorted({k[lx] for k in amps}))}
-    at_y = {e: i for i, e in enumerate(sorted({k[ly] for k in amps} | {ell, -ell}))}
-    psi = np.zeros((2, len(at_x), 2, len(at_y)), dtype=complex)
-    for k, amp in amps.items():
-        psi[k[px], at_x[k[lx]], k[py], at_y[k[ly]]] = amp
-    columns = [at_y[ell], at_y[-ell]]
-    passed, p_pol, renorm = psi[None], np.ones(1), 1.0
-    if polarizer is not None:
-        t = el.transmission_state(alphas, polarizer.extinction).reshape(-1, 2, 1, 1, 1)
-        passed = (t[:, 0] * psi[0] + t[:, 1] * psi[1])[:, None] * t
-        size = np.abs(passed)
-        np.putmask(size, size < PRUNE_TOL, 0.0)
-        p_pol = (size ** 2).sum(axis=(1, 2, 3, 4))
+    M, P = moments
+    if polarizer is None:
+        K, p_pol = np.einsum("pypz->yz", M)[None], np.ones(1)
+    else:
+        t = el.transmission_state(alphas, polarizer.extinction).reshape(-1, 2)
+        p_pol = np.einsum("ap,pq,aq->a", t, P, t)
         if (p_pol < NULL_TOL).any():
             raise NullOutcomeError("polarizer[analyzer_a]")
-        # 1/sqrt(p_pol), and 0 where an amplitude was pruned
-        renorm = (size[..., columns] > 0.0) / np.sqrt(p_pol)[:, None, None, None, None]
-    scale = el.binary_coupling(ell) if hologram.mode == "binary" else 1.0
+        K = np.einsum("ap,pyqz,aq->ayz", t, M, t)
+    if hologram.mode == "binary":
+        K = K * el.binary_coupling(hologram.ell) ** 2
+    return K, p_pol
+
+
+def _analyzer_core(moments: tuple, polarizer, hologram, alphas, sector):
+    """:func:`analyzer_probabilities` given the moments and the sector vectors."""
+    K, p_pol = _fringe_form(moments, polarizer, hologram, alphas)
     sector = sector.reshape(-1, 2)
-    overlap = np.einsum("ty,apxqy->atpxq", sector.conj(), passed[..., columns] * renorm)
-    size = np.abs(scale * sector[:, None, None, None, :] * overlap[..., None])
-    np.putmask(size, size < PRUNE_TOL, 0.0)
-    p_holo = (size ** 2).sum(axis=(2, 3, 4, 5))
-    return p_pol[:, None] * p_holo, checked_probability(p_holo)
+    joint = np.einsum("ty,ayz,tz->at", sector.conj(), K, sector).real
+    np.putmask(joint, joint < NULL_TOL, 0.0)
+    return joint, checked_probability(joint / p_pol[:, None])
 
 
 def coincidence_probability(config: ExperimentConfig,
@@ -379,9 +411,8 @@ def coincidence_probability(config: ExperimentConfig,
 
 def conditional_grid(config: ExperimentConfig, alphas, thetas):
     """Joint/conditional probabilities over an (alpha, theta) grid."""
-    state, _ = run_pipeline(config)
-    return _analyzer_core(state, config.analyzer_a, config.analyzer_b,
-                          alphas, el.sector_coefficients(thetas))
+    return _analyzer_core(_config_moments(config), config.analyzer_a,
+                          config.analyzer_b, alphas, el.sector_coefficients(thetas))
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -399,8 +430,8 @@ def theta_scans(config: ExperimentConfig, alphas, thetas=None,
     without ``thetas``, ``points`` angles over a full turn."""
     sector, settings = _full_turn(points) if thetas is None else (
         el.sector_coefficients(thetas), tuple(np.asarray(thetas, dtype=float).tolist()))
-    state, _ = run_pipeline(config)
-    joint, cond = _analyzer_core(state, config.analyzer_a, config.analyzer_b, alphas, sector)
+    joint, cond = _analyzer_core(_config_moments(config), config.analyzer_a,
+                                 config.analyzer_b, alphas, sector)
     return [ScanSeries(settings=settings, probabilities=tuple(row_cond),
                        joint_probabilities=tuple(row_joint))
             for row_joint, row_cond in zip(joint.tolist(), cond.tolist())]

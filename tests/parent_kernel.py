@@ -1,12 +1,16 @@
-"""A frozen copy of the analyzer kernel as it stood before its per-call
-overhead was cut, kept as a byte-for-byte oracle.
+"""A frozen copy of the dense-psi analyzer kernel, kept as an independent
+oracle for the quadratic form that replaced it.
 
+The kernel builds the dense ``psi[pol, ell, pol_h, ell_h]`` (hologram arm
+last), contracts it with each polarizer transmission vector, prunes and
+renormalizes, then contracts with each conjugated sector vector.
 ``analyzer_probabilities`` and ``theta_scans`` are copied verbatim, and so
 are the element helpers they called: ``transmission_state``, whose body has
 since changed, and ``sector_coefficients`` and ``binary_coupling``, copied
 only to freeze them.
 Nothing here may be edited to follow the package: the properties in
-``test_experiment.py`` compare the package's bytes against these.
+``test_experiment.py`` and ``test_properties.py`` compare the package's
+grids against these within 1e-12 (the two sum in different orders).
 """
 
 import math

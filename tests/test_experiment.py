@@ -33,7 +33,8 @@ from oam_eraser.experiment import (
     simulate_timeline,
     theta_scan,
 )
-from oam_eraser import analysis, experiment, output
+from oam_eraser import experiment, output
+from oam_eraser.configio import RunSpec, ScanSpec
 from oam_eraser.hilbert import POL_H, POL_V, joint_ket
 from oam_eraser.output import events_csv, fmt
 
@@ -280,20 +281,30 @@ def test_dark_fringes_are_exact_zeros():
 
 
 # ---------------------------------------------------------------------------
-# analyzer kernel against a frozen copy of the kernel before its rework:
-# every byte of both grids must agree
+# the quadratic-form kernel against the dense-psi contraction it replaced
+# (tests/parent_kernel.py): the same errors, and grids within 1e-12
 
 
 def kernel_outcome(kernel, *args):
-    """The grids' shapes and bytes, or the error the kernel raised."""
+    """The grids, or the error the kernel raised."""
     try:
-        joint, cond = kernel(*args)
+        return kernel(*args)
     except (NullOutcomeError, ValueError) as exc:
         return type(exc), str(exc)
-    return joint.shape, joint.tobytes(), cond.shape, cond.tobytes()
 
 
-# multiples of pi/4 put alpha and theta on dark fringes, which are pruned
+def assert_same_outcome(got, want):
+    """One error, or grids of one shape within 1e-12."""
+    if isinstance(want[0], type):
+        assert isinstance(got[0], type) and got == want
+        return
+    assert not isinstance(got[0], type), got
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w), initial=0.0) <= 1e-12
+
+
+# multiples of pi/4 put alpha and theta on dark fringes
 angles = st.one_of(st.floats(0.0, 2 * math.pi),
                    st.integers(-8, 8).map(lambda k: k * math.pi / 4))
 angle_sets = st.lists(angles, min_size=1, max_size=8).map(np.array)
@@ -312,11 +323,11 @@ raw_states = st.dictionaries(
 
 @settings(deadline=None, max_examples=150)
 @given(config=eraser_configs, alphas=angle_sets, thetas=angle_sets)
-def test_kernel_grids_are_byte_identical_to_the_frozen_kernel(config, alphas,
-                                                              thetas):
+def test_kernel_grids_match_the_dense_psi_oracle(config, alphas, thetas):
     # l_max = 0 empties the pipeline, and both raise the same error then
-    assert kernel_outcome(conditional_grid, config, alphas, thetas) == \
-        kernel_outcome(parent_kernel.conditional_grid, config, alphas, thetas)
+    assert_same_outcome(kernel_outcome(conditional_grid, config, alphas, thetas),
+                        kernel_outcome(parent_kernel.conditional_grid, config,
+                                       alphas, thetas))
 
 
 @settings(deadline=None, max_examples=150)
@@ -325,7 +336,7 @@ def test_kernel_grids_are_byte_identical_to_the_frozen_kernel(config, alphas,
        hologram_arm=st.sampled_from(("A", "B")),
        leak=st.none() | st.floats(0.0, 0.3), alphas=angle_sets,
        thetas=angle_sets)
-def test_kernel_on_raw_states_is_byte_identical_to_the_frozen_kernel(
+def test_kernel_on_raw_states_matches_the_dense_psi_oracle(
         state, ell, mode, hologram_arm, leak, alphas, thetas):
     # a raw state on either arm, analyzed without a polarizer (leak None)
     # or with one on the other arm
@@ -333,37 +344,82 @@ def test_kernel_on_raw_states_is_byte_identical_to_the_frozen_kernel(
     polarizer = None if leak is None else PolarizerSpec(
         alpha=0.0, extinction=leak, arm="B" if hologram_arm == "A" else "A")
     args = (state, polarizer, hologram, alphas if polarizer else (), thetas)
-    assert kernel_outcome(analyzer_probabilities, *args) == \
-        kernel_outcome(parent_kernel.analyzer_probabilities, *args)
+    assert_same_outcome(kernel_outcome(analyzer_probabilities, *args),
+                        kernel_outcome(parent_kernel.analyzer_probabilities, *args))
+
+
+def assert_same_scans(got, want):
+    """Equal settings, and probabilities within 1e-12, all Python floats."""
+    assert len(got) == len(want)
+    for series, oracle in zip(got, want):
+        assert series.settings == oracle.settings
+        for name in ("settings", "probabilities", "joint_probabilities"):
+            values, expected = getattr(series, name), getattr(oracle, name)
+            assert all(type(v) is float for v in values)
+            assert np.max(np.abs(np.subtract(values, expected))) <= 1e-12
 
 
 @settings(deadline=None, max_examples=60)
 @given(config=eraser_configs.filter(lambda c: c.source.l_max > 0),
        alphas=angle_sets, thetas=st.none() | angle_sets.map(list),
        points=st.integers(1, 80))
-def test_theta_scans_equal_the_frozen_scans_float_for_float(config, alphas,
-                                                            thetas, points):
-    got = experiment.theta_scans(config, alphas, thetas, points)
-    want = parent_kernel.theta_scans(config, alphas, thetas, points)
-    assert len(got) == len(want)
-    for series, frozen in zip(got, want):
-        for name in ("settings", "probabilities", "joint_probabilities"):
-            values, expected = getattr(series, name), getattr(frozen, name)
-            assert all(type(v) is float for v in values)
-            assert np.array(values).tobytes() == np.array(expected).tobytes()
+def test_theta_scans_match_the_dense_psi_scans(config, alphas, thetas, points):
+    assert_same_scans(experiment.theta_scans(config, alphas, thetas, points),
+                      parent_kernel.theta_scans(config, alphas, thetas, points))
 
 
 # ---------------------------------------------------------------------------
 # cached state
 
 
-def test_fringe_constants_and_cached_seed_keys_reject_writes():
-    cached = [analysis._FRINGE_THETAS, analysis._FRINGE_WEIGHTS,
-              experiment._stream_key(17, 3), analysis._FRINGE_SECTOR,
-              experiment._full_turn(36)[0]]
+def test_cached_moments_sectors_and_seed_keys_reject_writes():
+    moments = experiment._config_moments(
+        hybrid_eraser_config(extinction=0.1, hologram_mode="binary", l_max=2))
+    assert moments is experiment._config_moments(hybrid_eraser_config(l_max=2))
+    cached = [*moments, experiment._stream_key(17, 3), experiment._full_turn(36)[0]]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
+            array[(0,) * array.ndim] = 1.0
+
+
+def test_spec_config_and_count_records_carry_no_dict():
+    # slotted: a config kept per op costs its fields, not a dict
+    config = hybrid_eraser_config(delay_m=1.0)
+    records = [*config.elements_a, config.analyzer_a, config.analyzer_b,
+               config.source, config.counting, config,
+               ScanSeries((0.0,), (0.5,)), ScanSpec(), RunSpec(config, ScanSpec())]
+    assert {type(r).__name__ for r in records} >= {
+        "QPlateSpec", "WavePlateSpec", "PolarizerSpec", "FiberSpec", "HologramSpec",
+        "DelaySpec", "SourceSpec", "CountingModel", "ExperimentConfig"}
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+def test_eraser_configs_share_their_arm_a_and_hologram_specs():
+    for mode in ("ideal", "binary"):
+        first, second = (hybrid_eraser_config(alpha=alpha, hologram_mode=mode,
+                                              extinction=0.1 * alpha, l_max=3)
+                         for alpha in (0.2, 0.7))
+        assert first.elements_a is second.elements_a
+        assert first.analyzer_b is second.analyzer_b
+        assert first.analyzer_b == el.HologramSpec(ell=1, mode=mode, arm="B")
+    with pytest.raises(ValueError, match="hologram mode"):
+        hybrid_eraser_config(hologram_mode="ternary")
+
+
+def test_the_moment_cache_stays_within_its_bound_past_128_pipelines():
+    # each spectrum width is its own pipeline state, so every pass misses
+    info = experiment._pipeline_moments.cache_info()
+    assert info.maxsize == _pipeline.cache_info().maxsize == 128
+    alphas, thetas = np.array([math.pi / 4, 1.0]), np.array([0.0, 0.9, math.pi / 4])
+    for i in range(info.maxsize + 8):
+        config = hybrid_eraser_config(hologram_mode="binary", l_max=3,
+                                      spectrum="gaussian", sigma_ell=0.5 + i / 64)
+        _, cond = conditional_grid(config, alphas, thetas)
+        want = 0.5 * el.binary_coupling(1) ** 2 * (
+            1.0 + np.sin(2 * alphas[:, None]) * np.cos(2 * thetas + math.pi / 2))
+        assert np.max(np.abs(cond - want)) <= 1e-12
+        assert experiment._pipeline_moments.cache_info().currsize <= info.maxsize
 
 
 def test_mutating_inputs_and_outputs_leaves_later_results_unchanged():
@@ -390,12 +446,8 @@ def test_full_turn_scans_past_the_grid_cache_equal_the_frozen_scans():
     alphas = [0.2, 1.3]
     more = range(1, experiment._full_turn.cache_info().maxsize + 5)
     for points in [*more, *reversed(more)]:  # the way back starts on warm entries
-        got = experiment.theta_scans(config, alphas, points=points)
-        want = parent_kernel.theta_scans(config, alphas, None, points)
-        for series, frozen in zip(got, want, strict=True):
-            for name in ("settings", "probabilities", "joint_probabilities"):
-                assert np.array(getattr(series, name)).tobytes() == \
-                    np.array(getattr(frozen, name)).tobytes()
+        assert_same_scans(experiment.theta_scans(config, alphas, points=points),
+                          parent_kernel.theta_scans(config, alphas, None, points))
         info = experiment._full_turn.cache_info()
         assert info.currsize <= info.maxsize
     assert experiment._full_turn.cache_info().hits > 0

@@ -43,6 +43,7 @@ from oam_eraser.hilbert import (
     joint_ket,
 )
 
+import parent_kernel
 from conftest import greedy_coincidences
 from states import normalized, pol, product, project
 
@@ -387,6 +388,25 @@ def exact_fringe_is_the_dense_fit(checked, setting, alpha, extinction):
     (offset, c, s), *_ = np.linalg.lstsq(design, cond[0], rcond=None)
     assert abs(fit.offset - offset) <= 1e-12
     assert abs(fit.amplitude * cmath.exp(1j * fit.phase) - complex(c, -s)) <= 1e-12
+
+
+@no_deadline
+@given(analyzed(), st.none() | angles, unit, st.lists(angles, min_size=1, max_size=4))
+def test_form_matches_the_dense_psi_oracle(setting, alpha, extinction, thetas):
+    """The quadratic form against the dense-psi contraction it replaced, on
+    either hologram arm, in both modes, with and without a polarizer."""
+    state, hologram = setting
+    polarizer = None if alpha is None else polarizer_for(hologram, alpha, extinction)
+    args = (state, polarizer, hologram, () if alpha is None else [alpha], thetas)
+    try:
+        want = parent_kernel.analyzer_probabilities(*args)
+    except NullOutcomeError:
+        with pytest.raises(NullOutcomeError):
+            analyzer_probabilities(*args)
+        return
+    for got, oracle in zip(analyzer_probabilities(*args), want, strict=True):
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-12
 
 
 @pytest.mark.parametrize("identity", [
