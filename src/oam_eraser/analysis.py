@@ -125,21 +125,17 @@ def theoretical_visibility(alpha: float) -> float:
 
 def exact_fringes(state: JointKet, polarizer, hologram, alphas) -> list:
     """Exact fringe of the sector scan at each polarizer angle (one fringe for
-    ``polarizer=None``).  The scan is one harmonic: with ``K`` and ``p_pol``
-    from the quadratic form (:func:`~oam_eraser.experiment._fringe_form`), the
-    joint probability at ``theta`` is ``(K00 + K11)/2 + Re(K01 e^{2i theta})``,
-    so ``offset = (K00 + K11)/(2 p_pol)`` and
-    ``amplitude*e^{i phase} = K01/p_pol``."""
+    ``polarizer=None``): with ``(coef, p_pol)`` from the fringe form
+    (:func:`~oam_eraser.experiment._fringe_form`), ``offset = coef0/p_pol`` and
+    ``amplitude*e^{i phase} = (coef1 + i coef2)/p_pol``."""
     return _exact_fringes(_moments(state, hologram.ell, hologram.arm), polarizer,
                           hologram, alphas)
 
 
-def _exact_fringes(moments, polarizer, hologram, alphas) -> list:
-    K, p_pol = _fringe_form(moments, polarizer, hologram, alphas)
-    offsets = (K[:, 0, 0] + K[:, 1, 1]).real / (2.0 * p_pol)
-    coeffs = K[:, 0, 1] / p_pol
-    return [FringeFit(o, abs(c), cmath.phase(c), 0.0)
-            for o, c in zip(offsets.tolist(), coeffs.tolist())]
+def _exact_fringes(fringe, polarizer, hologram, alphas) -> list:
+    coef, p_pol = _fringe_form(fringe, polarizer, hologram, alphas)
+    return [FringeFit(o / p, math.hypot(x, y) / p, math.atan2(y, x), 0.0)
+            for (o, x, y), p in zip(coef.tolist(), p_pol.tolist())]
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ azimuthal hologram; the conditional coincidence probability follows
 
 exactly for the ideal configuration, which the test suite pins on a grid.
 
-Every analyzer probability is one quadratic form of a state's moments ``(M, P)``
-(:func:`analyzer_probabilities`), which fix every grid, scan and exact fringe and
-are cached read-only for pipeline states; :func:`causal_order_probability` stays
-on the sparse operators as a reference.
+Every analyzer probability is two real products (:func:`analyzer_probabilities`):
+a state's 4x4 fringe matrix ``F``, cached read-only for pipeline states, by
+``t (x) t``, then by the rows ``(1, cos 2theta, -sin 2theta)``;
+:func:`causal_order_probability` stays on the sparse operators as a reference.
 
 Counted scans draw from counter-based Philox streams keyed by ``(seed,
 repetition, point index)``, so results do not depend on the order of the
@@ -325,74 +325,78 @@ def run_pipeline(config: ExperimentConfig):
 def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas):
     """Joint and conditional analyzer probabilities over an (alpha, theta) grid.
 
-    Each joint probability is the Hermitian form ``w^T M w*`` of the state's
-    moments (:func:`_moments`), ``w = t (x) conj(s)`` for the transmission
-    vector ``t`` and the sector vector ``s``, times the binary coupling squared
-    in binary mode; the conditional divides out ``p_pol = t^T P t``.  A joint
-    probability below ``NULL_TOL`` is set to exactly 0, so dark fringes are
-    exact zeros.  Returns ``(joint, conditional)`` of shape ``(len(alphas),
-    len(thetas))``; ``polarizer=None`` analyzes the hologram arm alone, in one row.
+    Each joint probability is one harmonic ``o + Re(c e^{2i theta})`` read from
+    the state's fringe matrix (:func:`_fringe_form`); the conditional divides
+    out ``p_pol`` to within about 2e-16/p_pol, so 1e-12 holds for ``p_pol``
+    above 2e-4.  A joint probability below ``NULL_TOL`` is set to exactly 0,
+    and so is its conditional, even where ``p_pol`` is near ``NULL_TOL``.
+    Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
+    ``polarizer=None`` analyzes the hologram arm alone, in one row.
     """
     return _analyzer_core(_moments(state, hologram.ell, hologram.arm), polarizer,
-                          hologram, alphas, el.sector_coefficients(thetas))
+                          hologram, alphas, _harmonics(thetas))
 
 
-def _moments(state: JointKet, ell: int, hologram_arm: str) -> tuple:
-    """``(M, P)``: ``M[p, y, p', y'] = sum psi[p, x, q, y] psi*[p', x, q, y']``
-    for ``y, y'`` in ``(ell, -ell)``, summed over the other arm's OAM ``x`` and
-    the hologram arm's polarization ``q``; ``P``, the real part (``t`` is real)
-    of the other arm's 2x2 polarization matrix."""
+def _moments(state: JointKet, ell: int, hologram_arm: str) -> np.ndarray:
+    """The real 4x4 fringe matrix ``F``: row ``pq`` (HH, HV, VH, VV) holds
+    ``(Re(M[p,+,q,+] + M[p,-,q,-])/2, Re M[p,+,q,-], Im M[p,+,q,-], P[p,q])`` for
+    ``M[p, y, q, z] = sum psi[p, x, r, y] psi*[q, x, r, z]``, ``y, z`` in ``(ell,
+    -ell)``, and ``P`` the other arm's polarization matrix over all columns."""
     px, lx, py, ly = (0, 1, 2, 3) if hologram_arm == "B" else (2, 3, 0, 1)
     rest, paired = {}, {}
     for k, amp in state.amplitudes.items():
         rest.setdefault((k[lx], k[py], k[ly]), [0j, 0j])[k[px]] = amp
         if k[ly] == ell or k[ly] == -ell:
-            paired.setdefault((k[lx], k[py]), [0j] * 4)[2 * k[px] + (k[ly] != ell)] = amp
+            paired.setdefault((k[lx], k[py]), [0j] * 4)[k[px] + 2 * (k[ly] != ell)] = amp
     a = np.array(list(rest.values())).T
     b = np.array(list(paired.values()), dtype=complex).reshape(-1, 4).T
-    return (b @ b.conj().T).reshape(2, 2, 2, 2), (a @ a.conj().T).real
+    m, P = (b @ b.conj().T).tolist(), (a @ a.conj().T).real.tolist()  # m: H+, V+, H-, V-
+    return np.array([[0.5 * (m[p][q] + m[p + 2][q + 2]).real, m[p][q + 2].real,
+                      m[p][q + 2].imag, P[p][q]] for p in (0, 1) for q in (0, 1)])
 
 
 @lru_cache(maxsize=128)
 def _pipeline_moments(source, elements_a: tuple, elements_b: tuple, ell: int, arm: str):
-    moments = _moments(_pipeline(source, elements_a, elements_b)[0], ell, arm)
-    for matrix in moments:  # every caller shares them
-        matrix.flags.writeable = False
-    return moments
+    fringe = _moments(_pipeline(source, elements_a, elements_b)[0], ell, arm)
+    fringe.flags.writeable = False  # every caller shares it
+    return fringe
 
 
-def _config_moments(config: ExperimentConfig) -> tuple:
-    """The cached, read-only ``(M, P)`` of a config's pipeline state."""
+def _config_moments(config: ExperimentConfig) -> np.ndarray:
+    """The cached, read-only fringe matrix ``F`` of a config's pipeline state."""
     return _pipeline_moments(config.source, config.elements_a, config.elements_b,
                              config.analyzer_b.ell, config.analyzer_b.arm)
 
 
-def _fringe_form(moments: tuple, polarizer, hologram, alphas) -> tuple:
-    """``(K, p_pol)`` per polarizer angle: ``K[y, y'] = sum t_p t_p' M[p, y, p', y']``
-    times the binary coupling squared, so the joint probability at sector
-    vector ``s`` is ``s^H K s``, and ``p_pol = t^T P t``; for ``polarizer=None``,
-    one ``K`` traced over the polarization and ``p_pol = 1``."""
+def _fringe_form(fringe: np.ndarray, polarizer, hologram, alphas) -> tuple:
+    """``(coef, p_pol)`` per polarizer angle from ``v = (t (x) t) F``: ``v[:, :3]``
+    (times the binary coupling squared in binary mode) and ``v[:, 3]``; for
+    ``polarizer=None``, the row ``(1, 0, 0, 1)`` and ``p_pol = 1``."""
     if polarizer is not None and polarizer.arm == hologram.arm:
         raise ValueError("polarizer and hologram must sit on different arms")
-    M, P = moments
     if polarizer is None:
-        K, p_pol = np.einsum("pypz->yz", M)[None], np.ones(1)
+        coef, p_pol = (fringe[0] + fringe[3])[None, :3], np.ones(1)
     else:
         t = el.transmission_state(alphas, polarizer.extinction).reshape(-1, 2)
-        p_pol = np.einsum("ap,pq,aq->a", t, P, t)
+        v = (t[:, :, None] * t[:, None, :]).reshape(-1, 4) @ fringe
+        coef, p_pol = v[:, :3], v[:, 3]
         if (p_pol < NULL_TOL).any():
             raise NullOutcomeError("polarizer[analyzer_a]")
-        K = np.einsum("ap,pyqz,aq->ayz", t, M, t)
     if hologram.mode == "binary":
-        K = K * el.binary_coupling(hologram.ell) ** 2
-    return K, p_pol
+        coef = coef * el.binary_coupling(hologram.ell) ** 2
+    return coef, p_pol
 
 
-def _analyzer_core(moments: tuple, polarizer, hologram, alphas, sector):
-    """:func:`analyzer_probabilities` given the moments and the sector vectors."""
-    K, p_pol = _fringe_form(moments, polarizer, hologram, alphas)
-    sector = sector.reshape(-1, 2)
-    joint = np.einsum("ty,ayz,tz->at", sector.conj(), K, sector).real
+def _harmonics(thetas) -> np.ndarray:
+    """The rows ``(1, cos 2theta, -sin 2theta)``, one column per angle."""
+    two = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
+    return np.stack((np.ones_like(two), np.cos(two), -np.sin(two)))
+
+
+def _analyzer_core(fringe: np.ndarray, polarizer, hologram, alphas, basis):
+    """:func:`analyzer_probabilities` given ``F`` and the harmonic rows."""
+    coef, p_pol = _fringe_form(fringe, polarizer, hologram, alphas)
+    joint = coef @ basis
     np.putmask(joint, joint < NULL_TOL, 0.0)
     return joint, checked_probability(joint / p_pol[:, None])
 
@@ -412,26 +416,26 @@ def coincidence_probability(config: ExperimentConfig,
 def conditional_grid(config: ExperimentConfig, alphas, thetas):
     """Joint/conditional probabilities over an (alpha, theta) grid."""
     return _analyzer_core(_config_moments(config), config.analyzer_a,
-                          config.analyzer_b, alphas, el.sector_coefficients(thetas))
+                          config.analyzer_b, alphas, _harmonics(thetas))
 
 
 @lru_cache(maxsize=8, typed=True)
 def _full_turn(points: int) -> tuple:
-    """Read-only sector vectors and settings of ``points`` angles over a turn."""
+    """Read-only harmonic rows and settings of ``points`` angles over a turn."""
     thetas = np.linspace(0.0, TWO_PI, points, endpoint=False)
-    sector = el.sector_coefficients(thetas)
-    sector.flags.writeable = False
-    return sector, tuple(thetas.tolist())
+    basis = _harmonics(thetas)
+    basis.flags.writeable = False
+    return basis, tuple(thetas.tolist())
 
 
 def theta_scans(config: ExperimentConfig, alphas, thetas=None,
                 points: int = 72) -> list:
     """Exact hologram-rotation scans, one per polarizer angle, from one grid;
     without ``thetas``, ``points`` angles over a full turn."""
-    sector, settings = _full_turn(points) if thetas is None else (
-        el.sector_coefficients(thetas), tuple(np.asarray(thetas, dtype=float).tolist()))
+    basis, settings = _full_turn(points) if thetas is None else (
+        _harmonics(thetas), tuple(np.asarray(thetas, dtype=float).tolist()))
     joint, cond = _analyzer_core(_config_moments(config), config.analyzer_a,
-                                 config.analyzer_b, alphas, sector)
+                                 config.analyzer_b, alphas, basis)
     return [ScanSeries(settings=settings, probabilities=tuple(row_cond),
                        joint_probabilities=tuple(row_joint))
             for row_joint, row_cond in zip(joint.tolist(), cond.tolist())]

@@ -43,23 +43,31 @@ CLI = "tests/test_cli.py::test_unreadable_scan_csv_exits_2_and_names_the_line"
 MATCHER = "tests/test_experiment.py::test_matcher_agrees_with_walk_on_adversarial_streams"
 
 MUTANTS = (
-    # the analyzer kernel: the quadratic form
-    Mutant("sector-conj-dropped", EXP,
-           'np.einsum("ty,ayz,tz->at", sector.conj(), K, sector)',
-           'np.einsum("ty,ayz,tz->at", sector, K, sector)',
+    # the analyzer kernel: the fringe matrix F and the harmonic rows B
+    Mutant("harmonic-sin-sign", EXP,
+           "np.cos(two), -np.sin(two)", "np.cos(two), np.sin(two)",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
-    Mutant("coupling-not-squared", EXP,
-           "el.binary_coupling(hologram.ell) ** 2", "el.binary_coupling(hologram.ell)",
-           ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
+    Mutant("fringe-imag-sign", EXP,
+           "m[p][q + 2].imag", "-m[p][q + 2].imag",
+           ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
     Mutant("moments-conj-dropped", EXP,
            "(b @ b.conj().T)", "(b @ b.T)",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
     Mutant("moments-transposed", EXP,
            "(b @ b.conj().T)", "(b @ b.conj().T).T",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
+    Mutant("offset-one-term", EXP,
+           "(m[p][q] + m[p + 2][q + 2])", "(2.0 * m[p][q])",
+           (f"{PROPS}::test_analyzer_identity[sector_completeness]",)),
     Mutant("polarizer-reads-one-row", EXP,
-           'np.einsum("ap,pq,aq->a", t, P, t)', 'np.einsum("ap,pq,aq->a", t, P[[0, 0]], t)',
+           "(a @ a.conj().T).real.tolist()", "(a @ a.conj().T).real[[0, 0]].tolist()",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
+    Mutant("unpolarized-row-drops-v", EXP,
+           "(fringe[0] + fringe[3])[None, :3]", "fringe[None, 0, :3]",
+           (f"{PROPS}::test_analyzer_identity[polarizer_completeness]",)),
+    Mutant("coupling-not-squared", EXP,
+           "el.binary_coupling(hologram.ell) ** 2", "el.binary_coupling(hologram.ell)",
+           ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
     Mutant("snap-dropped", EXP,
            "    np.putmask(joint, joint < NULL_TOL, 0.0)\n", "",
            ("tests/test_experiment.py::test_dark_fringes_are_exact_zeros",)),
@@ -68,13 +76,13 @@ MUTANTS = (
            (f"{PROPS}::test_analyzer_identity",)),
     # the exact fringe
     Mutant("fringe-phase-sign", ANA,
-           "coeffs = K[:, 0, 1] / p_pol", "coeffs = K[:, 1, 0] / p_pol",
+           "math.atan2(y, x)", "math.atan2(-y, x)",
            ("tests/test_analysis.py::test_exact_fringes_match_a_least_squares_oracle",)),
-    Mutant("fringe-offset-weight", ANA,
-           "/ (2.0 * p_pol)", "/ p_pol",
+    Mutant("fringe-offset-column", ANA,
+           "for (o, x, y), p in", "for (x, o, y), p in",
            (f"{PROPS}::test_analyzer_identity[exact_fringe_is_the_dense_fit]",)),
-    Mutant("fringe-offset-one-term", ANA,
-           "(K[:, 0, 0] + K[:, 1, 1])", "(2.0 * K[:, 0, 0])",
+    Mutant("fringe-offset-undivided", ANA,
+           "FringeFit(o / p, ", "FringeFit(o, ",
            (f"{PROPS}::test_analyzer_identity[exact_fringe_is_the_dense_fit]",)),
     # the sinusoid fit
     Mutant("fit-phase-sign", ANA,

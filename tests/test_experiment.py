@@ -348,6 +348,21 @@ def test_kernel_on_raw_states_matches_the_dense_psi_oracle(
                         kernel_outcome(parent_kernel.analyzer_probabilities, *args))
 
 
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 3e-3, 1e-3])
+def test_nearly_blocked_state_matches_the_dense_psi_oracle(eps):
+    # D (x) |+1> + eps A (x) |-1> at alpha = -pi/4: the polarizer passes only
+    # the A part, p_pol = eps^2/(1 + eps^2), from 1e-2 down to 1e-6
+    r = 1.0 / ROOT2
+    state = joint_ket({(POL_H, 0, POL_H, 1): r, (POL_V, 0, POL_H, 1): r,
+                       (POL_H, 0, POL_H, -1): eps * r, (POL_V, 0, POL_H, -1): -eps * r})
+    thetas = np.linspace(0.0, math.pi, 7)
+    for mode in ("ideal", "binary"):
+        args = (state, PolarizerSpec(alpha=-math.pi / 4), el.HologramSpec(ell=1, mode=mode),
+                [-math.pi / 4], thetas)
+        assert_same_outcome(analyzer_probabilities(*args),
+                            parent_kernel.analyzer_probabilities(*args))
+
+
 def assert_same_scans(got, want):
     """Equal settings, and probabilities within 1e-12, all Python floats."""
     assert len(got) == len(want)
@@ -373,10 +388,13 @@ def test_theta_scans_match_the_dense_psi_scans(config, alphas, thetas, points):
 
 
 def test_cached_moments_sectors_and_seed_keys_reject_writes():
-    moments = experiment._config_moments(
+    fringe = experiment._config_moments(
         hybrid_eraser_config(extinction=0.1, hologram_mode="binary", l_max=2))
-    assert moments is experiment._config_moments(hybrid_eraser_config(l_max=2))
-    cached = [*moments, experiment._stream_key(17, 3), experiment._full_turn(36)[0]]
+    assert fringe is experiment._config_moments(hybrid_eraser_config(l_max=2))
+    assert fringe.shape == (4, 4) and fringe.dtype == float
+    basis = experiment._full_turn(36)[0]
+    assert basis.shape == (3, 36)
+    cached = [fringe, experiment._stream_key(17, 3), basis, *basis]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0

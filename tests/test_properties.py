@@ -1,17 +1,20 @@
 """Property-based checks of the element operators and the analyzers on
-random states, of the config emitter and parser on random runs, and of the
-coincidence matcher on random click streams."""
+random states, of the config emitter and parser on random runs, of the CLI
+on random configs, and of the coincidence matcher on random click streams."""
 
 import cmath
 import math
+import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oam_eraser import cli
 from oam_eraser.configio import RunSpec, ScanSpec, emit_config, parse_config
 from oam_eraser.elements import (
     DelaySpec,
@@ -190,9 +193,15 @@ configs = st.builds(
                        integration_time=non_negative,
                        gate=st.floats(1e-12, 1.0), singles_a=non_negative,
                        singles_b=non_negative, seed=st.integers(0, 2**32)))
-scans = st.builds(ScanSpec, theta_start=reals, theta_stop=reals,
-                  theta_points=st.integers(1, 500), alpha_start=reals,
-                  alpha_stop=reals, alpha_points=st.integers(1, 500))
+
+
+def scan_specs(most: int):
+    return st.builds(ScanSpec, theta_start=reals, theta_stop=reals,
+                     theta_points=st.integers(1, most), alpha_start=reals,
+                     alpha_stop=reals, alpha_points=st.integers(1, most))
+
+
+scans = scan_specs(500)
 
 
 @no_deadline
@@ -226,6 +235,32 @@ def test_pipeline_probability_is_the_product_of_the_element_probabilities(config
         state, prob = apply_element(spec, state)
         product *= prob
     assert abs(probability - product) <= 1e-15
+
+
+#: every subcommand on a config file; ``fit`` reads the scan-theta CSV
+command_forms = st.sampled_from((
+    ("scan-theta",), ("scan-theta", "--counts", "--svg"), ("scan-alpha",),
+    ("scan-alpha", "--counts", "--svg"), ("scan-grid",),
+    ("timeline", "--duration-s", "1e-4"), ("render-pattern", "--grid-n", "16"),
+    ("fit",)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.builds(RunSpec, config=configs, scan=scan_specs(8)), command_forms)
+def test_cli_never_ends_in_a_traceback(run, form):
+    """Every config the parser accepts ends in exit 0, 2 (config error) or
+    3 (null pipeline), whatever the command: no exception escapes main."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(emit_config(run), encoding="utf-8")
+        if form == ("fit",):
+            code = cli.main(["scan-theta", str(path), "--counts", "--out-dir", tmp])
+            if code == 0:
+                code = cli.main(["fit", str(Path(tmp) / "scan_theta.csv"),
+                                 "--out-dir", tmp])
+        else:
+            code = cli.main([form[0], str(path), *form[1:], "--out-dir", tmp])
+    assert code in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------
