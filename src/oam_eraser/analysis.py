@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,6 +177,11 @@ def calibrate_extinction(config_builder, target_visibility: float) -> float:
     ``LEAK_BRACKET``.  Returns the midpoint of a sign-change bracket no
     wider than ``LEAK_TOL``.
 
+    If the builder's configs at the two ends differ only in their leaks, the
+    ends, it is taken to vary only the leak: each step then reads the first
+    config's fringe matrix at the tilted angle ``alpha + atan(leak)``, with
+    no builder call.  Any other builder is called at every step.
+
     Each step is an ITP step (interpolate, truncate, project; Oliveira &
     Takahashi, ACM TOMS 47(1):5, 2020) with ``kappa1 = 0.2/(hi - lo)``,
     ``kappa2 = 2`` and ``n0 = 1``: a regula falsi point, nudged toward the
@@ -187,12 +192,18 @@ def calibrate_extinction(config_builder, target_visibility: float) -> float:
     about 7 (bisection: 23).
     """
     lo, hi = LEAK_BRACKET
+    first, last = config_builder(lo), config_builder(hi)
+    f_lo, f_hi = (fitted_visibility(end)[0] - target_visibility for end in (first, last))
+    if (isinstance(last, ExperimentConfig) and last.analyzer_a.extinction == hi
+            and replace(last, analyzer_a=replace(last.analyzer_a, extinction=lo)) == first):
+        fringe, pol = _config_moments(first), replace(first.analyzer_a, extinction=0.0)
 
-    def misfit(e: float) -> float:
-        vis, _ = fitted_visibility(config_builder(e))
-        return vis - target_visibility
-
-    f_lo, f_hi = misfit(lo), misfit(hi)
+        def visibility(e: float) -> float:
+            tilted = [pol.alpha + math.atan(e)]
+            return fit_visibility(_exact_fringes(fringe, pol, first.analyzer_b, tilted)[0])
+    else:
+        def visibility(e: float) -> float:
+            return fitted_visibility(config_builder(e))[0]
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -215,7 +226,7 @@ def calibrate_extinction(config_builder, target_visibility: float) -> float:
         radius = max(cap - 0.5 * (hi - lo), 0.0)
         x = guess if abs(guess - mid) <= radius else mid - toward * radius
         cap *= 0.5
-        f_x = misfit(x)
+        f_x = visibility(x) - target_visibility
         if f_x == 0.0:
             return x
         if f_lo * f_x < 0.0:
@@ -248,15 +259,15 @@ def distinguishability(state: JointKet, ell: int, path_arm: str = "B") -> float:
     """
     mp, ml, pp, pl = (0, 1, 2, 3) if path_arm == "B" else (2, 3, 0, 1)
     amps = state.amplitudes
-    at = {m: i for i, m in enumerate(sorted({(k[mp], k[ml]) for k in amps}))}
-    cols = np.zeros((2, len(at), 2), dtype=complex)
+    at = {m: 2 * i for i, m in enumerate(sorted({(k[mp], k[ml]) for k in amps}))}
+    paths = [[0j] * (2 * len(at)), [0j] * (2 * len(at))]  # +ell, -ell
     for k, amp in amps.items():
         if abs(k[pl]) != abs(ell):
             raise ValueError(f"state leaves the +-{ell} path subspace")
-        cols[int(k[pl] != ell), at[k[mp], k[ml]], k[pp]] = amp
-    plus, minus = cols
-    if min(np.sum(np.abs(cols) ** 2, axis=(1, 2))) < NULL_TOL:
+        paths[k[pl] != ell][at[k[mp], k[ml]] + k[pp]] = amp
+    if min(sum(abs(a) ** 2 for a in path) for path in paths) < NULL_TOL:
         return 1.0
+    plus, minus = np.array(paths, dtype=complex).reshape(2, -1, 2)
     diff = plus @ plus.conj().T - minus @ minus.conj().T
     return checked_probability(float(np.sum(np.abs(np.linalg.eigvalsh(diff)))))
 

@@ -223,24 +223,17 @@ def waveplate_operator(spec: WavePlateSpec) -> tuple:
     return ((tuple(map(tuple, jones)), None, 0),)
 
 
-def transmission_state(alpha, extinction: float) -> np.ndarray:
-    """Normalized (H, V) components of the polarizer transmission state.
-
-    ``alpha`` may be one angle or an array of them; the components lie
-    along a new last axis.
-    """
-    alpha = np.asarray(alpha, dtype=float)
+def transmission_state(alpha: float, extinction: float) -> tuple:
+    """Normalized (H, V) components of the polarizer transmission state."""
     ca, sa = np.cos(alpha), np.sin(alpha)
     e = extinction
     scale = 1.0 / math.sqrt(1.0 + e * e)
-    t = np.empty(alpha.shape + (2,))
-    t[..., 0], t[..., 1] = (ca - e * sa) * scale, (sa + e * ca) * scale
-    return t
+    return float((ca - e * sa) * scale), float((sa + e * ca) * scale)
 
 
 def polarizer_operator(spec: PolarizerSpec) -> tuple:
     """Projector ``t t^T`` onto the (real) transmission state ``t``."""
-    t = transmission_state(spec.alpha, spec.extinction).tolist()
+    t = transmission_state(spec.alpha, spec.extinction)
     pol = tuple(tuple(complex(t_out * t_in) for t_in in t) for t_out in t)
     return ((pol, None, 0),)
 

@@ -11,8 +11,8 @@ azimuthal hologram; the conditional coincidence probability follows
 exactly for the ideal configuration, which the test suite pins on a grid.
 
 Every analyzer probability is two real products (:func:`analyzer_probabilities`):
-a state's 4x4 fringe matrix ``F``, cached read-only for pipeline states, by
-``t (x) t``, then by the rows ``(1, cos 2theta, -sin 2theta)``;
+a state's 3x4 fringe matrix ``F``, cached read-only for pipeline states, by the
+polarizer row at its tilted angle, then by the rows ``(1, cos 2theta, -sin 2theta)``;
 :func:`causal_order_probability` stays on the sparse operators as a reference.
 
 Counted scans draw from counter-based Philox streams keyed by ``(seed,
@@ -297,9 +297,27 @@ def build_source_state(source: SourceSpec) -> JointKet:
     return joint_ket(amps)
 
 
+def _fiber_bound_source(source: SourceSpec, elements_a: tuple) -> JointKet:
+    """The source state less the terms whose ``ell_A`` cannot reach a fiber met
+    past q-plates, wave plates and delays alone, if none can pass ``L_CAP`` first."""
+    state, shifts, spec = build_source_state(source), [], None
+    for spec in elements_a:
+        if isinstance(spec, el.QPlateSpec):
+            shifts.append(abs(round(2.0 * spec.q)))
+        elif not isinstance(spec, (el.WavePlateSpec, el.DelaySpec)):
+            break
+    if (not isinstance(spec, el.FiberSpec)
+            or max(abs(k[1]) for k in state.amplitudes) + sum(shifts) > L_CAP):
+        return state
+    reach = {spec.accepted_ell}
+    for shift in shifts:
+        reach = {ell + step for ell in reach for step in (shift, -shift)}
+    return JointKet({k: a for k, a in state.amplitudes.items() if k[1] in reach})
+
+
 @lru_cache(maxsize=128)
 def _pipeline(source: SourceSpec, elements_a: tuple, elements_b: tuple):
-    state = build_source_state(source)
+    state = _fiber_bound_source(source, elements_a)
     for arm, elems in (("A", elements_a), ("B", elements_b)):
         for i, spec in enumerate(elems):
             state, _ = el.apply_element(spec, state)
@@ -328,8 +346,8 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
     Each joint probability is one harmonic ``o + Re(c e^{2i theta})`` read from
     the state's fringe matrix (:func:`_fringe_form`); the conditional divides
     out ``p_pol`` to within about 2e-16/p_pol, so 1e-12 holds for ``p_pol``
-    above 2e-4.  A joint probability below ``NULL_TOL`` is set to exactly 0,
-    and so is its conditional, even where ``p_pol`` is near ``NULL_TOL``.
+    above 2e-4.  A joint probability below ``NULL_TOL * p_pol``, a conditional
+    below ``NULL_TOL``, is set to exactly 0, and so is that conditional.
     Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
     ``polarizer=None`` analyzes the hologram arm alone, in one row.
     """
@@ -338,7 +356,7 @@ def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas)
 
 
 def _moments(state: JointKet, ell: int, hologram_arm: str) -> np.ndarray:
-    """The real 4x4 fringe matrix ``F``: row ``pq`` (HH, HV, VH, VV) holds
+    """The real 3x4 fringe matrix ``F``: rows HH, HV+VH and VV of
     ``(Re(M[p,+,q,+] + M[p,-,q,-])/2, Re M[p,+,q,-], Im M[p,+,q,-], P[p,q])`` for
     ``M[p, y, q, z] = sum psi[p, x, r, y] psi*[q, x, r, z]``, ``y, z`` in ``(ell,
     -ell)``, and ``P`` the other arm's polarization matrix over all columns."""
@@ -351,8 +369,10 @@ def _moments(state: JointKet, ell: int, hologram_arm: str) -> np.ndarray:
     a = np.array(list(rest.values())).T
     b = np.array(list(paired.values()), dtype=complex).reshape(-1, 4).T
     m, P = (b @ b.conj().T).tolist(), (a @ a.conj().T).real.tolist()  # m: H+, V+, H-, V-
-    return np.array([[0.5 * (m[p][q] + m[p + 2][q + 2]).real, m[p][q + 2].real,
-                      m[p][q + 2].imag, P[p][q]] for p in (0, 1) for q in (0, 1)])
+    cross = m[0][3] + m[1][2]  # M[H,+,V,-] + M[V,+,H,-]
+    return np.array([[0.5 * (m[0][0] + m[2][2]).real, m[0][2].real, m[0][2].imag, P[0][0]],
+                     [(m[0][1] + m[2][3]).real, cross.real, cross.imag, 2.0 * P[0][1]],
+                     [0.5 * (m[1][1] + m[3][3]).real, m[1][3].real, m[1][3].imag, P[1][1]]])
 
 
 @lru_cache(maxsize=128)
@@ -369,16 +389,19 @@ def _config_moments(config: ExperimentConfig) -> np.ndarray:
 
 
 def _fringe_form(fringe: np.ndarray, polarizer, hologram, alphas) -> tuple:
-    """``(coef, p_pol)`` per polarizer angle from ``v = (t (x) t) F``: ``v[:, :3]``
-    (times the binary coupling squared in binary mode) and ``v[:, 3]``; for
-    ``polarizer=None``, the row ``(1, 0, 0, 1)`` and ``p_pol = 1``."""
+    """``(coef, p_pol)`` per polarizer angle: ``v[:, :3]`` (times the binary coupling
+    squared in binary mode) and ``v[:, 3]`` of ``v = w F``, ``w = (c*c, c*s, s*s)`` at
+    the tilted angle ``alpha + atan(extinction)``, or ``(1, 0, 1)`` with ``p_pol = 1``."""
     if polarizer is not None and polarizer.arm == hologram.arm:
         raise ValueError("polarizer and hologram must sit on different arms")
     if polarizer is None:
-        coef, p_pol = (fringe[0] + fringe[3])[None, :3], np.ones(1)
+        coef, p_pol = (fringe[0] + fringe[2])[None, :3], np.ones(1)
     else:
-        t = el.transmission_state(alphas, polarizer.extinction).reshape(-1, 2)
-        v = (t[:, :, None] * t[:, None, :]).reshape(-1, 4) @ fringe
+        tilted = np.asarray(alphas, dtype=float).reshape(-1) + math.atan(polarizer.extinction)
+        w = np.empty((tilted.size, 3))
+        np.multiply(np.cos(tilted, out=w[:, 0]), np.sin(tilted, out=w[:, 2]), out=w[:, 1])
+        np.square(w[:, ::2], out=w[:, ::2])
+        v = w @ fringe
         coef, p_pol = v[:, :3], v[:, 3]
         if (p_pol < NULL_TOL).any():
             raise NullOutcomeError("polarizer[analyzer_a]")
@@ -390,14 +413,17 @@ def _fringe_form(fringe: np.ndarray, polarizer, hologram, alphas) -> tuple:
 def _harmonics(thetas) -> np.ndarray:
     """The rows ``(1, cos 2theta, -sin 2theta)``, one column per angle."""
     two = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
-    return np.stack((np.ones_like(two), np.cos(two), -np.sin(two)))
+    basis = np.ones((3, two.size))
+    np.cos(two, out=basis[1])
+    np.negative(np.sin(two, out=basis[2]), out=basis[2])
+    return basis
 
 
 def _analyzer_core(fringe: np.ndarray, polarizer, hologram, alphas, basis):
     """:func:`analyzer_probabilities` given ``F`` and the harmonic rows."""
     coef, p_pol = _fringe_form(fringe, polarizer, hologram, alphas)
     joint = coef @ basis
-    np.putmask(joint, joint < NULL_TOL, 0.0)
+    np.putmask(joint, joint < NULL_TOL * p_pol[:, None], 0.0)
     return joint, checked_probability(joint / p_pol[:, None])
 
 
@@ -478,13 +504,21 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 # counted data
 
 
-@lru_cache(maxsize=64, typed=True)
-def _seeding(seed: int) -> tuple:
-    """``SeedSequence(seed)`` and the read-only Philox key it derives."""
-    sequence = np.random.SeedSequence(seed)
-    key = sequence.generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return sequence, key
+class _Seeding:
+    """The read-only Philox ``key`` of ``SeedSequence(seed)``, handed out as is."""
+
+    def __init__(self, seed: int):
+        # a seed sequence by registration, made on use: importing the package
+        # does not load numpy.random
+        np.random.bit_generator.ISeedSequence.register(_Seeding)
+        self.key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        self.key.flags.writeable = False
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+_seeding = lru_cache(maxsize=64, typed=True)(_Seeding)
 
 
 def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
@@ -493,7 +527,7 @@ def _stream_key(seed: int, repetition: int, index: int = 0) -> np.ndarray:
     for name, word in (("repetition", repetition), ("index", index)):
         if not 0 <= word < 2 ** 64:
             raise ValueError(f"{name} {word!r} outside [0, 2**64)")
-    return _seeding(seed)[1]
+    return _seeding(seed).key
 
 
 def point_stream(seed: int, repetition: int, index: int) -> np.random.Generator:
@@ -519,8 +553,8 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     draws from ``point_stream(seed, repetition, i)``, so identical seeds
     give identical counts regardless of evaluation order.  One Philox is
     reused: each point writes its counter words and an empty buffer into
-    it, which gives the same draws without a Generator per point.  Built from
-    the seed's cached ``SeedSequence``, not its key, the Philox reads no OS entropy.
+    it, which gives the same draws without a Generator per point.  Seeded with
+    the seed's cached key (:class:`_Seeding`), the Philox reads no OS entropy.
     """
     joint = series.joint_probabilities
     if joint is None:
@@ -528,7 +562,7 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     cm = config.counting
     acc, rate = cm.accidentals(), cm.pair_rate * cm.integration_time
     key = _stream_key(cm.seed, repetition)
-    bitgen = np.random.Philox(_seeding(cm.seed)[0])
+    bitgen = np.random.Philox(_seeding(cm.seed))
     draw = np.random.Generator(bitgen).poisson
     counter = [0, 0, 0, repetition]  # lists: the state setter reads word by word
     state = {"bit_generator": "Philox",
@@ -539,7 +573,7 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
         counter[2] = index
         bitgen.state = state  # drops any word the last point left buffered
         counts.append(int(draw(rate * p + acc)))
-    return replace(series, counts=tuple(counts))
+    return ScanSeries(series.settings, series.probabilities, joint, tuple(counts))
 
 
 def simulate_timeline(config: ExperimentConfig, alpha: float, theta: float,

@@ -43,13 +43,22 @@ CLI = "tests/test_cli.py::test_unreadable_scan_csv_exits_2_and_names_the_line"
 MATCHER = "tests/test_experiment.py::test_matcher_agrees_with_walk_on_adversarial_streams"
 
 MUTANTS = (
-    # the analyzer kernel: the fringe matrix F and the harmonic rows B
+    # the analyzer kernel: the 3x4 fringe matrix F, the tilted polarizer
+    # rows and the harmonic rows B
     Mutant("harmonic-sin-sign", EXP,
-           "np.cos(two), -np.sin(two)", "np.cos(two), np.sin(two)",
+           "np.negative(np.sin(two, out=basis[2]), out=basis[2])",
+           "np.sin(two, out=basis[2])",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
     Mutant("fringe-imag-sign", EXP,
-           "m[p][q + 2].imag", "-m[p][q + 2].imag",
+           "m[0][2].real, m[0][2].imag", "m[0][2].real, -m[0][2].imag",
+           ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
+    Mutant("cross-columns-swapped", EXP,
+           "cross.real, cross.imag", "cross.imag, cross.real",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
+    Mutant("vv-row-read-as-hh", EXP,
+           "[0.5 * (m[1][1] + m[3][3]).real, m[1][3].real, m[1][3].imag, P[1][1]]",
+           "[0.5 * (m[0][0] + m[2][2]).real, m[0][2].real, m[0][2].imag, P[0][0]]",
+           ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
     Mutant("moments-conj-dropped", EXP,
            "(b @ b.conj().T)", "(b @ b.T)",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
@@ -57,23 +66,33 @@ MUTANTS = (
            "(b @ b.conj().T)", "(b @ b.conj().T).T",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
     Mutant("offset-one-term", EXP,
-           "(m[p][q] + m[p + 2][q + 2])", "(2.0 * m[p][q])",
-           (f"{PROPS}::test_analyzer_identity[sector_completeness]",)),
+           "(m[0][1] + m[2][3])", "(2.0 * m[0][1])",
+           (f"{PROPS}::test_joint_is_the_polarizer_then_the_hologram",)),
     Mutant("polarizer-reads-one-row", EXP,
            "(a @ a.conj().T).real.tolist()", "(a @ a.conj().T).real[[0, 0]].tolist()",
            ("tests/test_experiment.py::test_conditional_grid_matches_closed_form",)),
     Mutant("unpolarized-row-drops-v", EXP,
-           "(fringe[0] + fringe[3])[None, :3]", "fringe[None, 0, :3]",
+           "(fringe[0] + fringe[2])[None, :3]", "fringe[None, 0, :3]",
            (f"{PROPS}::test_analyzer_identity[polarizer_completeness]",)),
     Mutant("coupling-not-squared", EXP,
            "el.binary_coupling(hologram.ell) ** 2", "el.binary_coupling(hologram.ell)",
            ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
     Mutant("snap-dropped", EXP,
-           "    np.putmask(joint, joint < NULL_TOL, 0.0)\n", "",
+           "    np.putmask(joint, joint < NULL_TOL * p_pol[:, None], 0.0)\n", "",
            ("tests/test_experiment.py::test_dark_fringes_are_exact_zeros",)),
+    Mutant("tilt-sign", EXP,
+           "+ math.atan(polarizer.extinction)", "- math.atan(polarizer.extinction)",
+           (f"{PROPS}::test_analyzer_identity[leak_is_a_tilt]",)),
     Mutant("transmission-leak-sign", "oam_eraser/elements.py",
            "(sa + e * ca) * scale", "(sa - e * ca) * scale",
            (f"{PROPS}::test_analyzer_identity",)),
+    # the fiber-bound source
+    Mutant("pruning-shift-sign", EXP,
+           "reach = {spec.accepted_ell}", "reach = {-spec.accepted_ell}",
+           (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
+    Mutant("pruning-overflow-guard-dropped", EXP,
+           "\n            or max(abs(k[1]) for k in state.amplitudes) + sum(shifts) > L_CAP)", ")",
+           (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
     # the exact fringe
     Mutant("fringe-phase-sign", ANA,
            "math.atan2(y, x)", "math.atan2(-y, x)",
@@ -84,6 +103,13 @@ MUTANTS = (
     Mutant("fringe-offset-undivided", ANA,
            "FringeFit(o / p, ", "FringeFit(o, ",
            (f"{PROPS}::test_analyzer_identity[exact_fringe_is_the_dense_fit]",)),
+    # calibration in angle space
+    Mutant("calibration-tilt-sign", ANA,
+           "[pol.alpha + math.atan(e)]", "[pol.alpha - math.atan(e)]",
+           ("tests/test_analysis.py::test_calibration_off_the_analyzer_axes_is_the_closed_form",)),
+    Mutant("leak-check-ignores-source", ANA,
+           "extinction=lo)) == first)", "extinction=lo)) == replace(first, source=last.source))",
+           ("tests/test_analysis.py::test_a_builder_that_varies_more_than_the_leak_is_called_per_step",)),
     # the sinusoid fit
     Mutant("fit-phase-sign", ANA,
            "phase = math.atan2(-c2, c1)", "phase = math.atan2(c2, c1)",

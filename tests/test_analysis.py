@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from oam_eraser.analysis import (
     visibility_curve,
 )
 from oam_eraser.elements import HologramSpec, apply_element
-from oam_eraser.experiment import (ScanSeries, analyzer_probabilities,
+from oam_eraser.experiment import (CountingModel, ScanSeries, analyzer_probabilities,
                                    hybrid_eraser_config, run_pipeline)
 from oam_eraser.hilbert import NULL_TOL, POL_H, POL_V, joint_ket
 
@@ -307,6 +308,96 @@ def test_nearly_erased_calibration_stays_within_the_step_bound(target):
     leak = calibrate_extinction(builder, target)
     assert abs(leak - math.tan(math.acos(target) / 2.0)) <= 1e-7
     assert len(calls) <= SOLVER_STEP_BOUND
+
+
+# ---------------------------------------------------------------------------
+# calibration in angle space: a builder that varies only the leak is called
+# at the two ends of the bracket; every other builder at every step
+
+
+@contextmanager
+def counted_evaluations():
+    """Lists the fringes whose visibility is read inside: one per calibration
+    step, on either path."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "fit_visibility",
+                      lambda fit: seen.append(fit) or fit_visibility(fit))
+        yield seen
+
+
+def calibration_builders(alpha, **params):
+    """A leak-only builder and one that also varies ``counting.seed`` with
+    the leak, each with the list of leaks it was called with."""
+    calls = {"leak": [], "seeded": []}
+
+    def leak_only(e):
+        calls["leak"].append(e)
+        return hybrid_eraser_config(alpha=alpha, extinction=e, **params)
+
+    def seeded(e):
+        calls["seeded"].append(e)
+        return hybrid_eraser_config(alpha=alpha, extinction=e,
+                                    counting=CountingModel(seed=int(e * 1e9)), **params)
+
+    return leak_only, seeded, calls
+
+
+@settings(deadline=None, max_examples=60)
+@given(l_max=st.integers(1, 10), sigma_ell=st.none() | st.floats(0.5, 3.0),
+       mode=st.sampled_from(("ideal", "binary")), erased=st.booleans(),
+       share=st.floats(0.0, 1.0))
+def test_a_leak_only_builder_is_called_twice_for_the_per_step_leak(
+        l_max, sigma_ell, mode, erased, share):
+    """Over the closed-form test's parameters: the leak-only calibration
+    returns, bit for bit, the leak of a builder that takes the per-step path
+    (its seed varies with the leak, its fringe matrix does not)."""
+    params = dict(l_max=l_max, hologram_mode=mode,
+                  spectrum="flat" if sigma_ell is None else "gaussian",
+                  sigma_ell=sigma_ell)
+    alpha, target = ((math.pi / 4, 0.23 + 0.75 * share) if erased
+                     else (0.0, 0.001 + 0.969 * share))
+    leak_only, seeded, calls = calibration_builders(alpha, **params)
+    with counted_evaluations() as leak_steps:
+        leak = calibrate_extinction(leak_only, target)
+    with counted_evaluations() as steps:
+        per_step = calibrate_extinction(seeded, target)
+    assert calls["leak"] == [0.0, 0.8]
+    assert leak.hex() == per_step.hex()
+    assert len(calls["seeded"]) == len(steps) == len(leak_steps) >= 3
+
+
+@pytest.mark.parametrize("varied", ["source", "elements", "hologram", "alpha"])
+def test_a_builder_that_varies_more_than_the_leak_is_called_per_step(varied):
+    def builder(e):
+        calls.append(e)
+        big = e > 0.4
+        return hybrid_eraser_config(
+            alpha=math.pi / 4 + (1e-9 * e if varied == "alpha" else 0.0),
+            extinction=e, l_max=3,
+            sigma_ell=1.0 + e if varied == "source" else None,
+            spectrum="gaussian" if varied == "source" else "flat",
+            delay_m=float(big) if varied == "elements" else 0.0,
+            hologram_mode="binary" if varied == "hologram" and big else "ideal")
+
+    calls = []
+    with counted_evaluations() as evaluations:
+        leak = calibrate_extinction(builder, 0.9)
+    assert len(calls) == len(evaluations) >= 3
+    assert abs(leak - math.tan(math.acos(0.9) / 2.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("mode", ["ideal", "binary"])
+@pytest.mark.parametrize("target", [0.3, 0.6, 0.95])
+def test_calibration_off_the_analyzer_axes_is_the_closed_form(mode, target):
+    # at alpha = 0.1 the tilt alpha + atan(e) stays below pi/4 over the
+    # bracket, so V = sin(2 (alpha + atan e)) rises with the leak; at
+    # alpha = 0 and pi/4 a tilt of either sign gives the same visibility
+    alpha = 0.1
+    leak_only, _, calls = calibration_builders(alpha, hologram_mode=mode, l_max=2)
+    leak = calibrate_extinction(leak_only, target)
+    assert abs(leak - math.tan(math.asin(target) / 2.0 - alpha)) <= 1e-7
+    assert calls["leak"] == [0.0, 0.8]
 
 
 # ---------------------------------------------------------------------------

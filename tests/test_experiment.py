@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oam_eraser import elements as el
 from oam_eraser.elements import DelaySpec, FiberSpec, PolarizerSpec, QPlateSpec
@@ -336,6 +336,10 @@ def test_kernel_grids_match_the_dense_psi_oracle(config, alphas, thetas):
        hologram_arm=st.sampled_from(("A", "B")),
        leak=st.none() | st.floats(0.0, 0.3), alphas=angle_sets,
        thetas=angle_sets)
+# p_pol = 2**-46 lies just above NULL_TOL; the joint, half of it, lies below
+@example(state=joint_ket({(POL_H, 2, POL_H, 0): 1}), ell=2, mode="ideal",
+         hologram_arm="A", leak=2**-23, alphas=np.array([math.pi / 2]),
+         thetas=np.array([0.0]))
 def test_kernel_on_raw_states_matches_the_dense_psi_oracle(
         state, ell, mode, hologram_arm, leak, alphas, thetas):
     # a raw state on either arm, analyzed without a polarizer (leak None)
@@ -391,7 +395,7 @@ def test_cached_moments_sectors_and_seed_keys_reject_writes():
     fringe = experiment._config_moments(
         hybrid_eraser_config(extinction=0.1, hologram_mode="binary", l_max=2))
     assert fringe is experiment._config_moments(hybrid_eraser_config(l_max=2))
-    assert fringe.shape == (4, 4) and fringe.dtype == float
+    assert fringe.shape == (3, 4) and fringe.dtype == float
     basis = experiment._full_turn(36)[0]
     assert basis.shape == (3, 36)
     cached = [fringe, experiment._stream_key(17, 3), basis, *basis]

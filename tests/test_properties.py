@@ -24,6 +24,7 @@ from oam_eraser.elements import (
     QPlateSpec,
     WavePlateSpec,
     apply_element,
+    element_name,
 )
 from oam_eraser import experiment
 from oam_eraser.analysis import exact_fringes
@@ -237,6 +238,49 @@ def test_pipeline_probability_is_the_product_of_the_element_probabilities(config
     assert abs(probability - product) <= 1e-15
 
 
+def element_walk(config):
+    """The pipeline state from the full source, element by element, raising
+    what ``run_pipeline`` raises."""
+    state = experiment.build_source_state(config.source)
+    for arm, specs in (("A", config.elements_a), ("B", config.elements_b)):
+        for i, spec in enumerate(specs):
+            state, _ = apply_element(spec, state)
+            if state is None:
+                raise NullOutcomeError(f"{element_name(spec)}[{arm}:{i}]")
+    return state
+
+
+def build_outcome(build, config):
+    """The amplitudes in key order and ``norm_tracked``, or the error."""
+    try:
+        state = build(config)
+    except (NullOutcomeError, OamOverflowError) as exc:
+        return type(exc), str(exc)
+    return list(state.amplitudes.items()), state.norm_tracked
+
+
+canonical_arm_a = experiment.hybrid_eraser_config().elements_a
+
+
+@no_deadline
+@given(configs)
+@example(ExperimentConfig(source=SourceSpec(l_max=6), elements_a=canonical_arm_a))
+# a fiber off l = 0: the terms l = 0 and 2 reach it, l = -2 does not
+@example(ExperimentConfig(source=SourceSpec(l_max=3), elements_a=(
+    QPlateSpec(q=0.5), WavePlateSpec("half", 0.3), FiberSpec(accepted_ell=1))))
+# no term reaches the fiber
+@example(ExperimentConfig(source=SourceSpec(l_max=2), elements_a=(
+    QPlateSpec(q=1.5), FiberSpec(accepted_ell=0))))
+# the l = +-30 terms cannot reach the fiber, but shift past L_CAP on the way
+@example(ExperimentConfig(source=SourceSpec(l_max=30), elements_a=(
+    QPlateSpec(q=1.5), FiberSpec(accepted_ell=0))))
+def test_pruned_build_is_the_full_element_walk(config):
+    """Dropping the source terms that cannot reach arm A's fiber changes no
+    amplitude, no key order, no tracked probability and no error."""
+    assert build_outcome(lambda c: experiment.run_pipeline(c)[0], config) == \
+        build_outcome(element_walk, config)
+
+
 #: every subcommand on a config file; ``fit`` reads the scan-theta CSV
 command_forms = st.sampled_from((
     ("scan-theta",), ("scan-theta", "--counts", "--svg"), ("scan-alpha",),
@@ -286,6 +330,9 @@ def test_matcher_agrees_with_walk_on_dyadic_streams(times_a, times_b, gate):
 @no_deadline
 @given(states, st.floats(0.0, 2 * math.pi), unit,
        st.integers(1, 4), st.floats(0.0, 2 * math.pi), modes)
+# the polarizer passes p_pol = 2**-46, just above NULL_TOL, and half of that
+# reaches the hologram
+@example(joint_ket({(POL_V, 0, POL_H, 1): 1}), 2**-24, 2**-24, 1, 0.0, "ideal")
 def test_projection_order_does_not_change_the_conditional(
         state, alpha, extinction, ell, theta, mode):
     """Polarizer first, hologram first and the grid kernel give one
@@ -423,6 +470,34 @@ def exact_fringe_is_the_dense_fit(checked, setting, alpha, extinction):
     (offset, c, s), *_ = np.linalg.lstsq(design, cond[0], rcond=None)
     assert abs(fit.offset - offset) <= 1e-12
     assert abs(fit.amplitude * cmath.exp(1j * fit.phase) - complex(c, -s)) <= 1e-12
+
+
+@st.composite
+def coherent(draw):
+    """An ``analyzed()`` draw in which labels also get partners of the other
+    polarization on the polarizer's arm, so that both hologram sectors carry
+    an H-V coherence of their own (the ``HV+VH`` row of the fringe matrix)."""
+    state, hologram = draw(analyzed())
+    at = 0 if hologram.arm == "B" else 2
+    amps = dict(state.amplitudes)
+    for key, amp in state.amplitudes.items():
+        if draw(st.booleans()):
+            amps.setdefault(key[:at] + (1 - key[at],) + key[at + 1:], amp * draw(amplitudes))
+    return joint_ket(amps), hologram
+
+
+@no_deadline
+@given(coherent(), angles, unit, angles)
+def test_joint_is_the_polarizer_then_the_hologram(setting, alpha, extinction, theta):
+    """The kernel's joint probability is the product of two sparse
+    post-selections, the polarizer's and then the hologram's."""
+    state, hologram = setting
+    polarizer = polarizer_for(hologram, alpha, extinction)
+    passed, p_pol = apply_element(polarizer, state)
+    assume(passed is not None and p_pol > 1e-12)  # clear of a null outcome
+    _, p_hologram = apply_element(replace(hologram, theta=theta), passed)
+    joint, _ = analyzer_probabilities(state, polarizer, hologram, [alpha], [theta])
+    assert abs(joint[0, 0] - p_pol * p_hologram) <= 1e-12
 
 
 @no_deadline
