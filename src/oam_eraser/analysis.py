@@ -22,6 +22,7 @@ from .experiment import (
     ExperimentConfig,
     ScanSeries,
     _config_moments,
+    _fringe_at,
     _fringe_form,
     _moments,
 )
@@ -133,9 +134,17 @@ def exact_fringes(state: JointKet, polarizer, hologram, alphas) -> list:
 
 
 def _exact_fringes(fringe, polarizer, hologram, alphas) -> list:
-    coef, p_pol = _fringe_form(fringe, polarizer, hologram, alphas)
-    return [FringeFit(o / p, math.hypot(x, y) / p, math.atan2(y, x), 0.0)
-            for (o, x, y), p in zip(coef.tolist(), p_pol.tolist())]
+    if polarizer is not None and polarizer.arm != hologram.arm:
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        if len(alphas) == 1:
+            return [_fringe_fit(*_fringe_at(fringe, polarizer, hologram, alphas.item()))]
+    coef, p_pol = _fringe_form(fringe, polarizer, hologram, alphas)  # or its arm error
+    return list(map(_fringe_fit, coef.tolist(), p_pol.tolist()))
+
+
+def _fringe_fit(coef, p: float) -> FringeFit:
+    o, x, y = coef
+    return FringeFit(o / p, math.hypot(x, y) / p, math.atan2(y, x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,9 @@ def calibrate_extinction(config_builder, target_visibility: float) -> float:
     If the builder's configs at the two ends differ only in their leaks, the
     ends, it is taken to vary only the leak: each step then reads the first
     config's fringe matrix at the tilted angle ``alpha + atan(leak)``, with
-    no builder call.  Any other builder is called at every step.
+    no builder call, through the one-angle reader a config's visibility uses,
+    so both give the same leak bit for bit.  Any other builder is called at
+    every step.
 
     Each step is an ITP step (interpolate, truncate, project; Oliveira &
     Takahashi, ACM TOMS 47(1):5, 2020) with ``kappa1 = 0.2/(hi - lo)``,
@@ -197,10 +208,11 @@ def calibrate_extinction(config_builder, target_visibility: float) -> float:
     if (isinstance(last, ExperimentConfig) and last.analyzer_a.extinction == hi
             and replace(last, analyzer_a=replace(last.analyzer_a, extinction=lo)) == first):
         fringe, pol = _config_moments(first), replace(first.analyzer_a, extinction=0.0)
+        alpha, hologram = pol.alpha, first.analyzer_b
 
-        def visibility(e: float) -> float:
-            tilted = [pol.alpha + math.atan(e)]
-            return fit_visibility(_exact_fringes(fringe, pol, first.analyzer_b, tilted)[0])
+        def visibility(e: float) -> float:  # the per-step path's tilt and reader
+            return fit_visibility(_fringe_fit(*_fringe_at(fringe, pol, hologram,
+                                                          alpha + math.atan(e))))
     else:
         def visibility(e: float) -> float:
             return fitted_visibility(config_builder(e))[0]

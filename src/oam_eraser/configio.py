@@ -248,7 +248,7 @@ def parse_config(text: str) -> RunSpec:
     analyzer_a = guard("analyzers", replace, defaults["analyzer_a"], **pol)
     analyzer_b = guard("analyzers", replace, defaults["analyzer_b"], **holo)
     elements_a = arms["arm_a.element"]
-    if delay_m > 0.0:
+    if delay_m != 0.0:  # a negative path is the spec's error, not no delay
         elements_a.append(guard("counting", el.DelaySpec, delay_m, arm="A"))
     config = guard("counting", ExperimentConfig, source, tuple(elements_a),
                    tuple(arms["arm_b.element"]), analyzer_a, analyzer_b, counting)

@@ -137,14 +137,15 @@ class HologramSpec:
 
 @dataclass(frozen=True, slots=True)
 class DelaySpec:
-    """Extra free-space path on one arm; affects timing metadata only."""
+    """Extra free-space path on one arm, finite and non-negative; affects
+    timing metadata only."""
 
     extra_path: float  # meters
     arm: str = "A"
 
     def __post_init__(self):
-        if self.extra_path < 0.0:
-            raise ValueError("extra path must be non-negative")
+        if not 0.0 <= self.extra_path < math.inf:
+            raise ValueError("extra path must be finite and non-negative")
         _check_arm(self.arm)
 
     @property

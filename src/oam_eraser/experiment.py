@@ -10,15 +10,16 @@ azimuthal hologram; the conditional coincidence probability follows
 
 exactly for the ideal configuration, which the test suite pins on a grid.
 
-Every analyzer probability is two real products (:func:`analyzer_probabilities`):
-a state's 3x4 fringe matrix ``F``, cached read-only for pipeline states, by the
-polarizer row at its tilted angle, then by the rows ``(1, cos 2theta, -sin 2theta)``;
-:func:`causal_order_probability` stays on the sparse operators as a reference.
+Every analyzer probability is a state's 3x4 fringe matrix ``F``, cached read-only
+for pipeline states, read at the polarizer's tilted angle (one angle in Python
+floats, many in one real product), then times the rows ``(1, cos 2theta, -sin
+2theta)`` (:func:`analyzer_probabilities`); :func:`causal_order_probability`
+stays on the sparse operators as a reference.
 
 Counted scans draw from counter-based Philox streams keyed by ``(seed,
 repetition, point index)``, so results do not depend on the order of the
-points; :func:`simulate_counts` seeds from a cached ``SeedSequence`` and reads
-no OS entropy.  The timeline draws only the detected pairs, a Poisson process
+points; :func:`simulate_counts` draws them from one cached Philox per seed and
+reads no OS entropy.  The timeline draws only the detected pairs, a Poisson process
 at ``pair_rate * joint``, and singles, each from ``SeedSequence(seed, spawn_key=(stream,))``.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import gc
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
@@ -41,6 +43,7 @@ from .hilbert import (
     POL_H,
     POL_V,
     JointKet,
+    _prune,
     checked_probability,
     joint_ket,
     postselect_local,
@@ -267,7 +270,7 @@ def hybrid_eraser_config(alpha: float = 0.0,
                          delay_m: float = 0.0) -> ExperimentConfig:
     """The canonical hybrid-entanglement eraser: q=0.5 plate, fiber and
     quarter-wave plate at pi/4 on arm A; polarizer/hologram analyzers."""
-    delay = (el.DelaySpec(extra_path=delay_m, arm="A"),) if delay_m > 0.0 else ()
+    delay = (el.DelaySpec(extra_path=delay_m, arm="A"),) if delay_m != 0.0 else ()
     return ExperimentConfig(
         source=SourceSpec(kind="spdc", l_max=l_max, spectrum=spectrum,
                           sigma_ell=sigma_ell),
@@ -287,32 +290,30 @@ def hybrid_eraser_config(alpha: float = 0.0,
 def build_source_state(source: SourceSpec) -> JointKet:
     if source.kind == "generic_two_path":
         r = 1.0 / math.sqrt(2.0)
-        return joint_ket({
-            (POL_H, 0, POL_H, 1): r,
-            (POL_V, 0, POL_H, -1): r,
-        })
-    amps = {}
-    for ell, c in source.spectrum_amplitudes().items():
-        amps[(POL_H, ell, POL_H, -ell)] = c
-    return joint_ket(amps)
+        return joint_ket({(POL_H, 0, POL_H, 1): r, (POL_V, 0, POL_H, -1): r})
+    return joint_ket({(POL_H, ell, POL_H, -ell): c
+                      for ell, c in source.spectrum_amplitudes().items()})
 
 
 def _fiber_bound_source(source: SourceSpec, elements_a: tuple) -> JointKet:
     """The source state less the terms whose ``ell_A`` cannot reach a fiber met
     past q-plates, wave plates and delays alone, if none can pass ``L_CAP`` first."""
-    state, shifts, spec = build_source_state(source), [], None
+    shifts, spec = [], None
     for spec in elements_a:
         if isinstance(spec, el.QPlateSpec):
             shifts.append(abs(round(2.0 * spec.q)))
         elif not isinstance(spec, (el.WavePlateSpec, el.DelaySpec)):
             break
-    if (not isinstance(spec, el.FiberSpec)
-            or max(abs(k[1]) for k in state.amplitudes) + sum(shifts) > L_CAP):
-        return state
+    if (source.kind != "spdc" or not isinstance(spec, el.FiberSpec)
+            or source.l_max + sum(shifts) > L_CAP):
+        return build_source_state(source)
     reach = {spec.accepted_ell}
     for shift in shifts:
         reach = {ell + step for ell in reach for step in (shift, -shift)}
-    return JointKet({k: a for k, a in state.amplitudes.items() if k[1] in reach})
+    amps = {ell: complex(c) for ell, c in source.spectrum_amplitudes().items()}
+    n = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))  # as joint_ket takes it
+    return JointKet(_prune({(POL_H, ell, POL_H, -ell): a / n
+                            for ell, a in amps.items() if ell in reach}))
 
 
 @lru_cache(maxsize=128)
@@ -391,13 +392,18 @@ def _config_moments(config: ExperimentConfig) -> np.ndarray:
 def _fringe_form(fringe: np.ndarray, polarizer, hologram, alphas) -> tuple:
     """``(coef, p_pol)`` per polarizer angle: ``v[:, :3]`` (times the binary coupling
     squared in binary mode) and ``v[:, 3]`` of ``v = w F``, ``w = (c*c, c*s, s*s)`` at
-    the tilted angle ``alpha + atan(extinction)``, or ``(1, 0, 1)`` with ``p_pol = 1``."""
+    the tilted angle ``alpha + atan(extinction)``, or ``(1, 0, 1)`` with ``p_pol = 1``.
+    One angle goes through :func:`_fringe_at`, whose float sums may differ in the last bit."""
     if polarizer is not None and polarizer.arm == hologram.arm:
         raise ValueError("polarizer and hologram must sit on different arms")
     if polarizer is None:
         coef, p_pol = (fringe[0] + fringe[2])[None, :3], np.ones(1)
     else:
-        tilted = np.asarray(alphas, dtype=float).reshape(-1) + math.atan(polarizer.extinction)
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        if len(alphas) == 1:
+            coef, p_pol = _fringe_at(fringe, polarizer, hologram, alphas.item())
+            return np.array([coef]), np.array([p_pol])
+        tilted = alphas + math.atan(polarizer.extinction)
         w = np.empty((tilted.size, 3))
         np.multiply(np.cos(tilted, out=w[:, 0]), np.sin(tilted, out=w[:, 2]), out=w[:, 1])
         np.square(w[:, ::2], out=w[:, ::2])
@@ -408,6 +414,18 @@ def _fringe_form(fringe: np.ndarray, polarizer, hologram, alphas) -> tuple:
     if hologram.mode == "binary":
         coef = coef * el.binary_coupling(hologram.ell) ** 2
     return coef, p_pol
+
+
+def _fringe_at(fringe: np.ndarray, polarizer, hologram, alpha: float) -> tuple:
+    """``([o, Re c, Im c], p_pol)`` of :func:`_fringe_form` at one angle, in floats."""
+    tilted = alpha + math.atan(polarizer.extinction)
+    c, s = math.cos(tilted), math.sin(tilted)
+    w0, w1, w2 = c * c, c * s, s * s
+    o, x, y, p_pol = [(w0 * a + w1 * b) + w2 * d for a, b, d in zip(*fringe.tolist())]
+    if p_pol < NULL_TOL:
+        raise NullOutcomeError("polarizer[analyzer_a]")
+    g = el.binary_coupling(hologram.ell) ** 2 if hologram.mode == "binary" else 1.0
+    return [o * g, x * g, y * g], p_pol
 
 
 def _harmonics(thetas) -> np.ndarray:
@@ -505,17 +523,16 @@ def causal_order_probability(config: ExperimentConfig, alpha: float,
 
 
 class _Seeding:
-    """The read-only Philox ``key`` of ``SeedSequence(seed)``, handed out as is."""
+    """A Philox seeded with ``SeedSequence(seed)``, its bound ``poisson``, the
+    ``lock`` held while they are used, and the Philox's read-only ``key``."""
 
     def __init__(self, seed: int):
-        # a seed sequence by registration, made on use: importing the package
-        # does not load numpy.random
-        np.random.bit_generator.ISeedSequence.register(_Seeding)
-        self.key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        sequence = np.random.SeedSequence(seed)
+        self.bitgen = np.random.Philox(sequence)
+        self.poisson = np.random.Generator(self.bitgen).poisson
+        self.lock = threading.Lock()
+        self.key = sequence.generate_state(2, np.uint64)
         self.key.flags.writeable = False
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
 
 
 _seeding = lru_cache(maxsize=64, typed=True)(_Seeding)
@@ -551,28 +568,28 @@ def simulate_counts(config: ExperimentConfig, series: ScanSeries,
     ``counts[i] ~ Poisson(pair_rate * T * joint[i] + accidentals)`` with
     the accidental term ``2 * singles_a * singles_b * gate * T``.  Point ``i``
     draws from ``point_stream(seed, repetition, i)``, so identical seeds
-    give identical counts regardless of evaluation order.  One Philox is
-    reused: each point writes its counter words and an empty buffer into
-    it, which gives the same draws without a Generator per point.  Seeded with
-    the seed's cached key (:class:`_Seeding`), the Philox reads no OS entropy.
+    give identical counts regardless of evaluation order.  The seed's cached
+    Philox (:class:`_Seeding`), seeded without OS entropy, is reused: under the
+    seed's lock, each point writes its counter words and an empty buffer into
+    it, which gives the same draws without a Generator per point.
     """
     joint = series.joint_probabilities
     if joint is None:
         raise ValueError("series carries no joint probabilities")
     cm = config.counting
     acc, rate = cm.accidentals(), cm.pair_rate * cm.integration_time
-    key = _stream_key(cm.seed, repetition)
-    bitgen = np.random.Philox(_seeding(cm.seed))
-    draw = np.random.Generator(bitgen).poisson
+    seeding, key = _seeding(cm.seed), _stream_key(cm.seed, repetition)
+    bitgen, draw = seeding.bitgen, seeding.poisson
     counter = [0, 0, 0, repetition]  # lists: the state setter reads word by word
     state = {"bit_generator": "Philox",
              "state": {"counter": counter, "key": key.tolist()},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     counts = []
-    for index, p in enumerate(joint):
-        counter[2] = index
-        bitgen.state = state  # drops any word the last point left buffered
-        counts.append(int(draw(rate * p + acc)))
+    with seeding.lock:
+        for index, p in enumerate(joint):
+            counter[2] = index
+            bitgen.state = state  # drops any word the last point left buffered
+            counts.append(int(draw(rate * p + acc)))
     return ScanSeries(series.settings, series.probabilities, joint, tuple(counts))
 
 

@@ -75,14 +75,27 @@ MUTANTS = (
            "(fringe[0] + fringe[2])[None, :3]", "fringe[None, 0, :3]",
            (f"{PROPS}::test_analyzer_identity[polarizer_completeness]",)),
     Mutant("coupling-not-squared", EXP,
-           "el.binary_coupling(hologram.ell) ** 2", "el.binary_coupling(hologram.ell)",
+           "coef * el.binary_coupling(hologram.ell) ** 2", "coef * el.binary_coupling(hologram.ell)",
            ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
     Mutant("snap-dropped", EXP,
            "    np.putmask(joint, joint < NULL_TOL * p_pol[:, None], 0.0)\n", "",
            ("tests/test_experiment.py::test_dark_fringes_are_exact_zeros",)),
     Mutant("tilt-sign", EXP,
-           "+ math.atan(polarizer.extinction)", "- math.atan(polarizer.extinction)",
+           "alphas + math.atan(polarizer.extinction)", "alphas - math.atan(polarizer.extinction)",
+           ("tests/test_experiment.py::test_kernel_matches_sparse_projections",)),
+    # the one-angle reader
+    Mutant("one-angle-tilt-sign", EXP,
+           "alpha + math.atan(polarizer.extinction)", "alpha - math.atan(polarizer.extinction)",
            (f"{PROPS}::test_analyzer_identity[leak_is_a_tilt]",)),
+    Mutant("one-angle-cross-weight", EXP,
+           "c * c, c * s, s * s", "c * c, c * c, s * s",
+           (f"{PROPS}::test_joint_is_the_polarizer_then_the_hologram",)),
+    Mutant("one-angle-coupling-not-squared", EXP,
+           "g = el.binary_coupling(hologram.ell) ** 2", "g = el.binary_coupling(hologram.ell)",
+           (f"{PROPS}::test_joint_is_the_polarizer_then_the_hologram",)),
+    Mutant("one-angle-null-check-dropped", EXP,
+           "if p_pol < NULL_TOL:", "if p_pol < 0.0:",
+           ("tests/test_experiment.py::test_coincidence_with_extinguished_analyzer_errors",)),
     Mutant("transmission-leak-sign", "oam_eraser/elements.py",
            "(sa + e * ca) * scale", "(sa - e * ca) * scale",
            (f"{PROPS}::test_analyzer_identity",)),
@@ -91,21 +104,25 @@ MUTANTS = (
            "reach = {spec.accepted_ell}", "reach = {-spec.accepted_ell}",
            (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
     Mutant("pruning-overflow-guard-dropped", EXP,
-           "\n            or max(abs(k[1]) for k in state.amplitudes) + sum(shifts) > L_CAP)", ")",
+           "\n            or source.l_max + sum(shifts) > L_CAP)", ")",
+           (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
+    Mutant("pruning-survivors-norm", EXP,
+           "for a in amps.values()))  # as joint_ket",
+           "for ell, a in amps.items() if ell in reach))  # as joint_ket",
            (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
     # the exact fringe
     Mutant("fringe-phase-sign", ANA,
            "math.atan2(y, x)", "math.atan2(-y, x)",
            ("tests/test_analysis.py::test_exact_fringes_match_a_least_squares_oracle",)),
     Mutant("fringe-offset-column", ANA,
-           "for (o, x, y), p in", "for (x, o, y), p in",
+           "o, x, y = coef", "x, o, y = coef",
            (f"{PROPS}::test_analyzer_identity[exact_fringe_is_the_dense_fit]",)),
     Mutant("fringe-offset-undivided", ANA,
            "FringeFit(o / p, ", "FringeFit(o, ",
            (f"{PROPS}::test_analyzer_identity[exact_fringe_is_the_dense_fit]",)),
     # calibration in angle space
     Mutant("calibration-tilt-sign", ANA,
-           "[pol.alpha + math.atan(e)]", "[pol.alpha - math.atan(e)]",
+           "alpha + math.atan(e)", "alpha - math.atan(e)",
            ("tests/test_analysis.py::test_calibration_off_the_analyzer_axes_is_the_closed_form",)),
     Mutant("leak-check-ignores-source", ANA,
            "extinction=lo)) == first)", "extinction=lo)) == replace(first, source=last.source))",
@@ -125,11 +142,14 @@ MUTANTS = (
            "counts.append(int(draw(rate * p + acc)))", "counts.append(int(draw(rate * p)))",
            ("tests/test_experiment.py::test_counts_with_accidentals_equal_one_stream_per_point",)),
     Mutant("counts-one-counter", EXP,
-           "        counter[2] = index\n", "",
+           "            counter[2] = index\n", "",
            ("tests/test_experiment.py::test_counts_equal_one_stream_per_point",)),
     Mutant("counts-buffer-kept", EXP,
            "        bitgen.state = state  #", "        #",
            ("tests/test_experiment.py::test_counts_equal_one_stream_per_point",)),
+    Mutant("counts-lock-dropped", EXP,
+           "with seeding.lock:", "if seeding.lock:",
+           ("tests/test_experiment.py::test_counts_wait_for_their_seed_lock",)),
     Mutant("accidentals-factor", EXP,
            "return (2.0 * self.singles_a", "return (1.0 * self.singles_a",
            ("tests/test_experiment.py::test_scan_counts_and_timeline_agree_on_accidentals",)),
@@ -148,6 +168,13 @@ MUTANTS = (
            'order = np.argsort(times, kind="stable")',
            'order = np.argsort(times, kind="quicksort")',
            ("tests/test_experiment.py::test_a_true_pair_click_comes_first_on_equal_times",)),
+    # delays
+    Mutant("delay-accepts-non-finite", "oam_eraser/elements.py",
+           "if not 0.0 <= self.extra_path < math.inf:", "if self.extra_path < 0.0:",
+           ("tests/test_elements.py::test_delay_rejects_a_non_finite_or_negative_path",)),
+    Mutant("negative-config-delay-dropped", "oam_eraser/configio.py",
+           "if delay_m != 0.0:", "if delay_m > 0.0:",
+           ("tests/test_cli.py::test_a_negative_counting_delay_is_a_config_error",)),
     # the events CSV's digit groups
     Mutant("strip-middle-group-never", OUT,
            "_QUADS[mid + 10_000 * (low == 0)]", "_QUADS[mid]",

@@ -108,6 +108,25 @@ def test_counting_delay_becomes_arm_a_element():
     assert run.config.arm_delay("A") == pytest.approx(2.3 / 299792458.0)
 
 
+def test_a_zero_counting_delay_adds_no_element():
+    assert parse_config("[counting]\ndelay_m = 0.0\n").config == parse_config("").config
+
+
+def test_a_negative_counting_delay_is_a_config_error(tmp_path, capsys):
+    text = "[counting]\ndelay_m = -2.0\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert (str(err.value), err.value.line) == (
+        "extra path must be finite and non-negative (line 1)", 1)
+    path = tmp_path / "delayed.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["timeline", str(path), "--duration-s", "1e-3",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: extra path must be finite and non-negative")
+    assert not (tmp_path / "out").exists()
+
+
 #: every element kind, an explicit delay on each arm, a gaussian source and
 #: non-default analyzer, counting and scan keys, some out of canonical order
 FULL = """\

@@ -322,3 +322,9 @@ def test_package_imports_without_scipy():
 def test_delay_rejects_negative_path():
     with pytest.raises(ValueError, match="non-negative"):
         DelaySpec(extra_path=-1.0)
+
+
+@pytest.mark.parametrize("path", [math.nan, math.inf, -math.inf, -0.5])
+def test_delay_rejects_a_non_finite_or_negative_path(path):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        DelaySpec(extra_path=path)

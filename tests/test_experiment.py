@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from oam_eraser.experiment import (
     theta_scan,
 )
 from oam_eraser import experiment, output
+from oam_eraser.analysis import exact_fringes
 from oam_eraser.configio import RunSpec, ScanSpec
 from oam_eraser.hilbert import POL_H, POL_V, joint_ket
 from oam_eraser.output import events_csv, fmt
@@ -456,6 +458,24 @@ def test_mutating_inputs_and_outputs_leaves_later_results_unchanged():
     assert [g.tobytes() for g in again] == [g.tobytes() for g in first]
 
 
+@pytest.mark.parametrize("alpha", [0.3, np.float64(0.3), np.array(0.3)],
+                         ids=["float", "float64", "0-d array"])
+def test_a_zero_dimensional_angle_reads_as_a_one_element_list(alpha):
+    config = hybrid_eraser_config(extinction=0.1, hologram_mode="binary", l_max=2)
+    state, _ = run_pipeline(config)
+    polarizer, hologram = config.analyzer_a, config.analyzer_b
+    for got, want in zip(conditional_grid(config, alpha, np.array(0.5)),
+                         conditional_grid(config, [0.3], [0.5]), strict=True):
+        assert got.shape == (1, 1) and got.tobytes() == want.tobytes()
+    assert experiment.theta_scans(config, alpha) == experiment.theta_scans(config, [0.3])
+    for got, want in zip(analyzer_probabilities(state, polarizer, hologram, alpha, [0.0, 1.0]),
+                         analyzer_probabilities(state, polarizer, hologram, [0.3], [0.0, 1.0]),
+                         strict=True):
+        assert got.shape == (1, 2) and got.tobytes() == want.tobytes()
+    assert exact_fringes(state, polarizer, hologram, alpha) == \
+        exact_fringes(state, polarizer, hologram, [0.3])
+
+
 def test_counts_on_a_warm_key_cache_equal_one_stream_per_point():
     joint = [JOINT_CLASSES[i % len(JOINT_CLASSES)] for i in range(20)]
     for repetition in (0, 1, 0, 1):  # the second pass finds the key cached
@@ -516,6 +536,17 @@ def test_projection_orders_agree_on_grid(canonical_config):
             assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("delay_m", [-2.0, -1e-30, math.nan, math.inf])
+def test_a_negative_or_non_finite_delay_is_rejected(delay_m):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        hybrid_eraser_config(delay_m=delay_m)
+
+
+def test_a_zero_delay_adds_no_element():
+    assert hybrid_eraser_config(delay_m=0.0).elements_a == hybrid_eraser_config().elements_a
+    assert hybrid_eraser_config(delay_m=-0.0).elements_a == hybrid_eraser_config().elements_a
+
+
 def test_delay_leaves_probabilities_unchanged(canonical_config):
     delayed = hybrid_eraser_config(alpha=0.3, delay_m=2.3)
     base = hybrid_eraser_config(alpha=0.3)
@@ -566,6 +597,29 @@ def test_counts_are_order_independent():
             assert single.counts[pos] == forward[pos]
     again = simulate_counts(config, series)
     assert again.counts == forward
+
+
+def test_counts_wait_for_their_seed_lock():
+    """Calls on one seed share its Philox, so each holds the seed's lock
+    while it sets and draws; a call started while the lock is held waits."""
+    joint = [JOINT_CLASSES[i % len(JOINT_CLASSES)] for i in range(18)]
+    seed, repetition = 4321, 5
+    cm = CountingModel(pair_rate=1e7, integration_time=1.0, seed=seed)
+    series = ScanSeries(tuple(range(len(joint))), tuple(joint),
+                        joint_probabilities=tuple(joint))
+    oracle = [int(point_stream(seed, repetition, i).poisson(1e7 * p))
+              for i, p in enumerate(joint)]
+    results = []
+    worker = threading.Thread(target=lambda: results.append(
+        simulate_counts(hybrid_eraser_config(counting=cm), series, repetition)))
+    lock = experiment._seeding(seed).lock
+    with lock:
+        worker.start()
+        worker.join(0.05)
+        assert worker.is_alive() and not results
+    worker.join(10.0)
+    assert not worker.is_alive()
+    assert list(results[0].counts) == oracle
 
 
 def counts_and_oracle(seed, repetition, joint, pair_rate=1e7, singles=0.0):

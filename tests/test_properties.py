@@ -519,6 +519,45 @@ def test_form_matches_the_dense_psi_oracle(setting, alpha, extinction, thetas):
         assert np.max(np.abs(got - oracle)) <= 1e-12
 
 
+def one_and_two_angle_reads(state, polarizer, hologram, alphas, thetas):
+    """The grids and exact fringes of one call, or None where it raises
+    ``NullOutcomeError``."""
+    try:
+        return (analyzer_probabilities(state, polarizer, hologram, alphas, thetas),
+                exact_fringes(state, polarizer, hologram, alphas))
+    except NullOutcomeError:
+        return None
+
+
+@no_deadline
+@given(analyzed(), angles, angles, unit, st.lists(angles, min_size=1, max_size=4))
+def test_a_one_angle_read_is_its_row_of_a_two_angle_read(
+        setting, alpha, other, extinction, thetas):
+    """The one-angle reader and the many-angle product give each angle the
+    same row, and block the same settings.  Rounding bounds the joint by
+    1e-15 and the conditional and the fit by 1e-15/p_pol: the harmonic sum
+    can cancel, so a bound relative to the row would fail on either path."""
+    state, hologram = setting
+    polarizer = polarizer_for(hologram, alpha, extinction)
+    both = one_and_two_angle_reads(state, polarizer, hologram, [alpha, other], thetas)
+    ones = [one_and_two_angle_reads(state, polarizer, hologram, [angle], thetas)
+            for angle in (alpha, other)]
+    assert (both is None) == (None in ones)
+    if both is None:
+        return
+    (joint, cond), fits = both
+    for row, angle in enumerate((alpha, other)):
+        (one_joint, one_cond), (fit,) = ones[row]
+        _, p_pol = apply_element(polarizer_for(hologram, angle, extinction), state)
+        assert one_joint.shape == one_cond.shape == (1, len(thetas))
+        assert np.max(np.abs(one_joint[0] - joint[row])) <= 1e-15
+        assert np.max(np.abs(one_cond[0] - cond[row])) <= 1e-15 / p_pol
+        want = fits[row]
+        assert abs(fit.offset - want.offset) <= 1e-15 / p_pol
+        assert abs(fit.amplitude * cmath.exp(1j * fit.phase)
+                   - want.amplitude * cmath.exp(1j * want.phase)) <= 1e-15 / p_pol
+
+
 @pytest.mark.parametrize("identity", [
     polarizer_completeness, sector_completeness, sector_period, leak_is_a_tilt,
     joint_within_polarizer, exact_fringe_is_the_dense_fit],
