@@ -323,18 +323,27 @@ def binary_coupling(ell: int) -> float:
 # uniform application
 
 
+def element_operator(spec) -> tuple:
+    """``(terms, post_selects)``: the spec's operator terms (``None`` for a delay,
+    which touches no amplitude) and whether the element post-selects."""
+    if isinstance(spec, QPlateSpec):
+        return qplate_operator(spec), False
+    if isinstance(spec, WavePlateSpec):
+        return waveplate_operator(spec), False
+    if isinstance(spec, PolarizerSpec):
+        return polarizer_operator(spec), True
+    if isinstance(spec, FiberSpec):
+        return fiber_operator(spec), True
+    if isinstance(spec, HologramSpec):
+        return sector_projector(spec), True
+    if isinstance(spec, DelaySpec):
+        return None, False
+    raise TypeError(f"not an element spec: {spec!r}")
+
+
 def apply_element(spec, state: JointKet):
     """Apply any element spec; returns ``(state_or_None, probability)``."""
-    if isinstance(spec, QPlateSpec):
-        return apply_local(qplate_operator(spec), spec.arm, state), 1.0
-    if isinstance(spec, WavePlateSpec):
-        return apply_local(waveplate_operator(spec), spec.arm, state), 1.0
-    if isinstance(spec, PolarizerSpec):
-        return postselect_local(polarizer_operator(spec), spec.arm, state)
-    if isinstance(spec, FiberSpec):
-        return postselect_local(fiber_operator(spec), spec.arm, state)
-    if isinstance(spec, HologramSpec):
-        return postselect_local(sector_projector(spec), spec.arm, state)
-    if isinstance(spec, DelaySpec):
-        return state, 1.0
-    raise TypeError(f"not an element spec: {spec!r}")
+    terms, post_selects = element_operator(spec)
+    if post_selects:
+        return postselect_local(terms, spec.arm, state)
+    return (state if terms is None else apply_local(terms, spec.arm, state)), 1.0

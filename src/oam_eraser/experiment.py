@@ -10,11 +10,14 @@ azimuthal hologram; the conditional coincidence probability follows
 
 exactly for the ideal configuration, which the test suite pins on a grid.
 
-Every analyzer probability is a state's 3x4 fringe matrix ``F``, cached read-only
-for pipeline states, read at the polarizer's tilted angle (one angle in Python
-floats, many in one real product), then times the rows ``(1, cos 2theta, -sin
-2theta)`` (:func:`analyzer_probabilities`); :func:`causal_order_probability`
-stays on the sparse operators as a reference.
+A pipeline state passes the source terms through arm A's elements composed once
+into a cached linear map, and walks the elements in order only where that could
+differ from the walk (:func:`_composed`), elements on arm B among those cases.
+Every analyzer probability is a state's 3x4 fringe matrix ``F``, cached
+read-only for pipeline states, read at the polarizer's tilted angle (one angle in
+Python floats, many in one real product), then times the rows ``(1, cos 2theta,
+-sin 2theta)`` (:func:`_analyzer_core`); :func:`causal_order_probability` stays
+on the sparse operators as a reference.
 
 Counted scans draw from counter-based Philox streams keyed by ``(seed,
 repetition, point index)``, so results do not depend on the order of the
@@ -29,7 +32,7 @@ import gc
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import chain, repeat
 from types import MappingProxyType
 from typing import NamedTuple
@@ -42,10 +45,12 @@ from .hilbert import (
     NULL_TOL,
     POL_H,
     POL_V,
+    PRUNE_TOL,
     JointKet,
+    OamOverflowError,
     _prune,
     checked_probability,
-    joint_ket,
+    local_sums,
     postselect_local,
 )
 
@@ -91,16 +96,6 @@ class SourceSpec:
             raise ValueError(f"unknown spectrum {self.spectrum!r}")
         if self.spectrum == "gaussian" and not (self.sigma_ell and self.sigma_ell > 0):
             raise ValueError("gaussian spectrum needs sigma_ell > 0")
-
-    def spectrum_amplitudes(self) -> dict:
-        ells = range(-self.l_max, self.l_max + 1)
-        if self.spectrum == "flat":
-            raw = {ell: 1.0 for ell in ells}
-        else:
-            s2 = 2.0 * self.sigma_ell ** 2
-            raw = {ell: math.exp(-ell * ell / s2) for ell in ells}
-        norm = math.sqrt(sum(v * v for v in raw.values()))
-        return {ell: v / norm for ell, v in raw.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,73 +282,117 @@ def hybrid_eraser_config(alpha: float = 0.0,
 # state preparation and pipeline
 
 
-def build_source_state(source: SourceSpec) -> JointKet:
+def _source_terms(source: SourceSpec) -> list:
+    """The source's ``(label, amplitude)`` pairs, real and pruned, normalized once
+    and then again as :func:`joint_ket` would, in label order."""
     if source.kind == "generic_two_path":
-        r = 1.0 / math.sqrt(2.0)
-        return joint_ket({(POL_H, 0, POL_H, 1): r, (POL_V, 0, POL_H, -1): r})
-    return joint_ket({(POL_H, ell, POL_H, -ell): c
-                      for ell, c in source.spectrum_amplitudes().items()})
+        labels = [(POL_H, 0, POL_H, 1), (POL_V, 0, POL_H, -1)]
+    else:
+        labels = [(POL_H, ell, POL_H, -ell) for ell in range(-source.l_max, source.l_max + 1)]
+    raw = [1.0] * len(labels)
+    if source.kind == "spdc" and source.spectrum == "gaussian":
+        s2 = 2.0 * source.sigma_ell ** 2
+        raw = [math.exp(-k[1] * k[1] / s2) for k in labels]
+    norm = math.sqrt(sum(v * v for v in raw))
+    raw = [v / norm for v in raw]
+    n = math.sqrt(sum(v ** 2 for v in raw))
+    return [(k, v / n) for k, v in zip(labels, raw) if v / n >= PRUNE_TOL]
 
 
-def _fiber_bound_source(source: SourceSpec, elements_a: tuple) -> JointKet:
-    """The source state less the terms whose ``ell_A`` cannot reach a fiber met
-    past q-plates, wave plates and delays alone, if none can pass ``L_CAP`` first."""
-    shifts, spec = [], None
-    for spec in elements_a:
-        if isinstance(spec, el.QPlateSpec):
-            shifts.append(abs(round(2.0 * spec.q)))
-        elif not isinstance(spec, (el.WavePlateSpec, el.DelaySpec)):
-            break
-    if (source.kind != "spdc" or not isinstance(spec, el.FiberSpec)
-            or source.l_max + sum(shifts) > L_CAP):
-        return build_source_state(source)
-    reach = {spec.accepted_ell}
-    for shift in shifts:
-        reach = {ell + step for ell in reach for step in (shift, -shift)}
-    amps = {ell: complex(c) for ell, c in source.spectrum_amplitudes().items()}
-    n = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))  # as joint_ket takes it
-    return JointKet(_prune({(POL_H, ell, POL_H, -ell): a / n
-                            for ell, a in amps.items() if ell in reach}))
+def build_source_state(source: SourceSpec) -> JointKet:
+    return JointKet({k: complex(v) for k, v in _source_terms(source)})
+
+
+@lru_cache(maxsize=128)
+def _arm_map(specs: tuple) -> tuple:
+    """Arm A's elements, delays left out, as ``(image, number of post-selections)``:
+    ``image(label)`` walks a unit source label through them once, as the element
+    walk would but with projections unnormalized, to a shared read-only ``(kept,
+    dropped, at_post, items)``: the least amplitude kept and the largest pruned,
+    the amplitudes just past the post-selection, and the image's ``(label,
+    amplitude)`` pairs; to ``()`` if it dies with nothing pruned, ``None`` past ``L_CAP``."""
+    ops = [el.element_operator(spec) for spec in specs]
+
+    @cache
+    def image(label: tuple):
+        amps, kept, dropped, at_post = {label: 1.0 + 0.0j}, 1.0, 0.0, ()
+        try:
+            for terms, post in ops:
+                out = local_sums(terms, "A", amps)
+                amps = _prune(out)
+                kept = min([kept, *map(abs, amps.values())])
+                dropped = max([dropped, *(abs(x) for k, x in out.items() if k not in amps)])
+                at_post = tuple(amps.values()) if post else at_post
+        except OamOverflowError:
+            return None
+        return (kept, dropped, at_post, tuple(amps.items())) if amps or dropped else ()
+
+    return image, sum(post for _, post in ops)
+
+
+def _composed(source: SourceSpec, elements_a: tuple, elements_b: tuple):
+    """``(amplitudes, probability)`` from one pass of the source terms through arm
+    A's map, or ``None`` where that could differ from the element walk: an element
+    on arm B other than a delay, more than one post-selection, an overflow, an
+    amplitude within a factor 2 of ``PRUNE_TOL`` in the walk's scale, or ``p``
+    below twice ``NULL_TOL``.  Else each term keeps its own arm-B label, so the
+    pass makes the walk's keys in its order and sums its ``p`` in its order."""
+    if not all(isinstance(spec, el.DelaySpec) for spec in elements_b):
+        return None
+    image, posts = _arm_map(tuple(s for s in elements_a if not isinstance(s, el.DelaySpec)))
+    if posts > 1:
+        return None
+    out, p, kept, dropped = {}, 0.0, 1.0, 0.0
+    for label, a in _source_terms(source):
+        record = image(label)
+        if record is None:
+            return None
+        if record:
+            least, most, at_post, items = record
+            kept, dropped = min(kept, a * least), max(dropped, a * most)
+            for x in at_post:
+                p += abs(a * x) ** 2
+            for k, x in items:
+                out[k] = a * x
+    if not posts:
+        p = 1.0
+    elif p < 2.0 * NULL_TOL:
+        return None  # the walk names the element that empties the state
+    scale = 1.0 / math.sqrt(p)
+    # past the post-selection the walk scales what the map drops by 1/sqrt(p)
+    if kept < 2.0 * PRUNE_TOL or 2.0 * dropped * scale >= PRUNE_TOL:
+        return None
+    return {k: v * scale for k, v in out.items()}, checked_probability(p)
 
 
 @lru_cache(maxsize=128)
 def _pipeline(source: SourceSpec, elements_a: tuple, elements_b: tuple):
-    state = _fiber_bound_source(source, elements_a)
-    for arm, elems in (("A", elements_a), ("B", elements_b)):
-        for i, spec in enumerate(elems):
-            state, _ = el.apply_element(spec, state)
-            if state is None:
-                raise NullOutcomeError(
-                    f"{el.element_name(spec)}[{arm}:{i}]")
+    composed = _composed(source, elements_a, elements_b)
+    if composed is None:  # the pass could differ from the walk, so walk the elements
+        state = build_source_state(source)
+        for arm, elems in (("A", elements_a), ("B", elements_b)):
+            for i, spec in enumerate(elems):
+                state, _ = el.apply_element(spec, state)
+                if state is None:
+                    raise NullOutcomeError(f"{el.element_name(spec)}[{arm}:{i}]")
+        composed = state.amplitudes, state.norm_tracked
+    amplitudes, p = composed
     # every caller shares the cached state, so hand out a read-only view
-    state = JointKet(MappingProxyType(state.amplitudes), state.norm_tracked)
-    return state, state.norm_tracked
+    return JointKet(MappingProxyType(amplitudes), p), p
 
 
 def run_pipeline(config: ExperimentConfig):
-    """Apply all configured elements (not the analyzers) in order.
+    """Apply all configured elements (not the analyzers).
 
     Returns ``(state, cumulative_probability)`` where the cumulative
     probability is ``state.norm_tracked``, the product of every
-    post-selection success along the way.  The state is cached per
-    ``(source, elements_a, elements_b)`` and its amplitudes are read-only.
+    post-selection success along the way.  The source terms pass through
+    arm A's cached linear map in one go; where that could differ from the
+    element walk (:func:`_composed`), the elements are walked in order.  The
+    state is cached per ``(source, elements_a, elements_b)`` and its
+    amplitudes are read-only.
     """
     return _pipeline(config.source, config.elements_a, config.elements_b)
-
-
-def analyzer_probabilities(state: JointKet, polarizer, hologram, alphas, thetas):
-    """Joint and conditional analyzer probabilities over an (alpha, theta) grid.
-
-    Each joint probability is one harmonic ``o + Re(c e^{2i theta})`` read from
-    the state's fringe matrix (:func:`_fringe_form`); the conditional divides
-    out ``p_pol`` to within about 2e-16/p_pol, so 1e-12 holds for ``p_pol``
-    above 2e-4.  A joint probability below ``NULL_TOL * p_pol``, a conditional
-    below ``NULL_TOL``, is set to exactly 0, and so is that conditional.
-    Returns ``(joint, conditional)`` of shape ``(len(alphas), len(thetas))``;
-    ``polarizer=None`` analyzes the hologram arm alone, in one row.
-    """
-    return _analyzer_core(_moments(state, hologram.ell, hologram.arm), polarizer,
-                          hologram, alphas, _harmonics(thetas))
 
 
 def _moments(state: JointKet, ell: int, hologram_arm: str) -> np.ndarray:
@@ -438,7 +477,10 @@ def _harmonics(thetas) -> np.ndarray:
 
 
 def _analyzer_core(fringe: np.ndarray, polarizer, hologram, alphas, basis):
-    """:func:`analyzer_probabilities` given ``F`` and the harmonic rows."""
+    """Joint and conditional probabilities, a row per polarizer angle, from ``F`` and
+    the harmonic rows: the joint ``o + Re(c e^{2i theta})`` (:func:`_fringe_form`),
+    the conditional joint / ``p_pol``, and both exactly 0 where the joint is below
+    ``NULL_TOL * p_pol``; ``polarizer=None`` gives the hologram arm alone."""
     coef, p_pol = _fringe_form(fringe, polarizer, hologram, alphas)
     joint = coef @ basis
     np.putmask(joint, joint < NULL_TOL * p_pol[:, None], 0.0)

@@ -133,10 +133,15 @@ def apply_local(terms: tuple, arm: str, state: JointKet) -> JointKet:
     Raises :class:`OamOverflowError` when a term shifts an OAM index
     beyond ``L_CAP``.
     """
+    return JointKet(_prune(local_sums(terms, arm, state.amplitudes)), state.norm_tracked)
+
+
+def local_sums(terms: tuple, arm: str, amplitudes: Mapping) -> dict:
+    """:func:`apply_local`'s output amplitudes, before pruning."""
     if arm not in ARMS:
         raise ValueError(f"unknown arm {arm!r}")
     out: dict = {}
-    for key, amp in state.amplitudes.items():
+    for key, amp in amplitudes.items():
         pol, ell = (key[0], key[1]) if arm == "A" else (key[2], key[3])
         for mat, ell_in, shift in terms:
             if ell_in is not None and ell != ell_in:
@@ -153,7 +158,7 @@ def apply_local(terms: tuple, arm: str, state: JointKet) -> JointKet:
                 else:
                     new_key = (key[0], key[1], pol_out, ell_out)
                 out[new_key] = out.get(new_key, 0.0 + 0.0j) + m * amp
-    return JointKet(_prune(out), state.norm_tracked)
+    return out
 
 
 def postselect_local(terms: tuple, arm: str, state: JointKet):

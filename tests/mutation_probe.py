@@ -99,17 +99,31 @@ MUTANTS = (
     Mutant("transmission-leak-sign", "oam_eraser/elements.py",
            "(sa + e * ca) * scale", "(sa - e * ca) * scale",
            (f"{PROPS}::test_analyzer_identity",)),
-    # the fiber-bound source
-    Mutant("pruning-shift-sign", EXP,
-           "reach = {spec.accepted_ell}", "reach = {-spec.accepted_ell}",
-           (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
-    Mutant("pruning-overflow-guard-dropped", EXP,
-           "\n            or source.l_max + sum(shifts) > L_CAP)", ")",
-           (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
-    Mutant("pruning-survivors-norm", EXP,
-           "for a in amps.values()))  # as joint_ket",
-           "for ell, a in amps.items() if ell in reach))  # as joint_ket",
-           (f"{PROPS}::test_pruned_build_is_the_full_element_walk",)),
+    # the pipeline through arm A's cached map
+    Mutant("arm-map-keyed-on-delays", EXP,
+           "tuple(s for s in elements_a if not isinstance(s, el.DelaySpec))", "elements_a",
+           ("tests/test_experiment.py::test_configs_that_differ_in_source_or_delay_share_one_arm_map",)),
+    Mutant("arm-a-images-on-arm-b", EXP,
+           'local_sums(terms, "A", amps)', 'local_sums(terms, "B", amps)',
+           ("tests/test_experiment.py::test_canonical_pipeline_reaches_marked_pair",)),
+    Mutant("arm-b-elements-composed", EXP,
+           "if not all(isinstance(spec, el.DelaySpec) for spec in elements_b):", "if False:",
+           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
+    Mutant("map-not-normalized", EXP,
+           "scale = 1.0 / math.sqrt(p)", "scale = 1.0",
+           ("tests/test_experiment.py::test_canonical_pipeline_reaches_marked_pair",)),
+    Mutant("null-rewalk-dropped", EXP,
+           "elif p < 2.0 * NULL_TOL:", "elif p < 0.0:",
+           ("tests/test_experiment.py::test_null_pipeline_names_the_element",)),
+    Mutant("overflow-rewalk-dropped", EXP,
+           "        if record is None:\n            return None\n", "",
+           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
+    Mutant("kept-guard-dropped", EXP,
+           "if kept < 2.0 * PRUNE_TOL or ", "if ",
+           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
+    Mutant("dropped-guard-unscaled", EXP,
+           "2.0 * dropped * scale >= PRUNE_TOL", "2.0 * dropped >= PRUNE_TOL",
+           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
     # the exact fringe
     Mutant("fringe-phase-sign", ANA,
            "math.atan2(y, x)", "math.atan2(-y, x)",

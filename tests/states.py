@@ -6,11 +6,13 @@ post-states and projections by hand, so they get them here: a single-arm
 state is a plain ``{(pol, ell): amplitude}`` dict, a product goes through
 ``joint_ket``, and a projection onto one arm goes through the package's
 ``postselect_local`` as a rank-1 operator.  Callers pass normalized
-single-arm states; nothing here checks it.
+single-arm states; nothing here checks it.  :func:`analyzer_probabilities`
+reads the package's analyzer on any joint state, not only a pipeline's.
 """
 
 import math
 
+from oam_eraser import experiment
 from oam_eraser.hilbert import POL_H, POL_V, joint_ket, postselect_local
 
 _S = 1 / math.sqrt(2)
@@ -63,3 +65,20 @@ def project(state, arm: str, target: dict):
                      for p in (POL_H, POL_V)) for q in (POL_H, POL_V)), b, a - b)
         for a in ells for b in ells)
     return postselect_local(terms, arm, state)
+
+
+def analyzer_probabilities(state, polarizer, hologram, alphas, thetas):
+    """Joint and conditional analyzer probabilities of a raw state over an
+    (alpha, theta) grid, from the package's fringe matrix and harmonic rows.
+
+    Each joint probability is one harmonic ``o + Re(c e^{2i theta})`` read from
+    the state's fringe matrix (``experiment._fringe_form``); the conditional
+    divides out ``p_pol`` to within about 2e-16/p_pol, so 1e-12 holds for
+    ``p_pol`` above 2e-4.  A joint probability below ``NULL_TOL * p_pol``, a
+    conditional below ``NULL_TOL``, is set to exactly 0, and so is that
+    conditional.  Returns ``(joint, conditional)`` of shape ``(len(alphas),
+    len(thetas))``; ``polarizer=None`` analyzes the hologram arm alone, in one row.
+    """
+    fringe = experiment._moments(state, hologram.ell, hologram.arm)
+    return experiment._analyzer_core(fringe, polarizer, hologram, alphas,
+                                     experiment._harmonics(thetas))

@@ -24,12 +24,13 @@ from oam_eraser.analysis import (
     visibility_curve,
 )
 from oam_eraser.elements import HologramSpec, apply_element
-from oam_eraser.experiment import (CountingModel, ScanSeries, analyzer_probabilities,
-                                   hybrid_eraser_config, run_pipeline)
+from oam_eraser.experiment import (CountingModel, ScanSeries, hybrid_eraser_config,
+                                   run_pipeline)
 from oam_eraser.hilbert import NULL_TOL, POL_H, POL_V, joint_ket
 
 from conftest import marked_pair
 from density_oracle import reduced_density
+from states import analyzer_probabilities
 
 ROOT2 = math.sqrt(2.0)
 

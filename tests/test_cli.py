@@ -617,6 +617,30 @@ def test_demo_outputs_are_byte_stable(tmp_path):
     assert got == DEMO_DIGESTS
 
 
+def test_counted_scan_alpha_on_the_demo_config_is_reproducible_and_erases(tmp_path):
+    """``scan-alpha --counts --svg`` on the demo config: the same bytes twice,
+    and each counted visibility within five standard errors of ``|sin 2 alpha|``.
+
+    The fit's offset ``o`` and amplitude ``A`` over ``M`` angles that tile a full
+    period are linear in Poisson counts of mean ``lam_i``: ``var(o) =
+    sum(lam_i)/M^2`` and ``var(A) <= 2 max(lam_i)/M``, and ``max(lam_i) <= 2 o``
+    here.  So ``V = A/o`` has standard error at most ``(2 + V) / sqrt(M o)``
+    to first order, with ``o`` the fitted offset."""
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["scan-alpha", str(DEMO_CONFIG), "--counts", "--svg",
+                     "--out-dir", str(out)]) == 0
+    for name in ("scan_alpha.csv", "scan_alpha.svg"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    points = parse_config(DEMO_CONFIG.read_text(encoding="utf-8")).scan.theta_points
+    rows = (outs[0] / "scan_alpha.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9
+    for row in rows:
+        alpha, vis, offset = (float(cell) for cell in row.split(",")[:3])
+        want = abs(math.sin(2 * alpha))
+        assert abs(vis - want) <= 5 * (2 + want) / math.sqrt(points * offset)
+
+
 #: the demo config with accidentals on both arms, an arm-A delay and a 2 µs
 #: gate, so clusters of up to nine clicks fall within one gate
 ACCIDENTAL_OVERRIDES = (("pair_rate_hz = 2000.0", "pair_rate_hz = 20000.0"),

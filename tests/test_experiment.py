@@ -22,7 +22,6 @@ from oam_eraser.experiment import (
     SourceSpec,
     _count_coincidences,
     _pipeline,
-    analyzer_probabilities,
     build_source_state,
     causal_order_probability,
     coincidence_probability,
@@ -42,7 +41,7 @@ from oam_eraser.output import events_csv, fmt
 
 import parent_kernel
 from conftest import greedy_coincidences, marked_pair
-from states import overlap
+from states import analyzer_probabilities, overlap
 
 ROOT2 = math.sqrt(2.0)
 
@@ -132,6 +131,37 @@ def test_cached_pipeline_state_is_read_only(canonical_config):
     with pytest.raises(TypeError):
         state.amplitudes[(POL_H, 5, POL_H, 5)] = 1.0
     assert run_pipeline(canonical_config)[0].amplitudes == state.amplitudes
+
+
+def test_configs_that_differ_in_source_or_delay_share_one_arm_map():
+    experiment._arm_map.cache_clear()
+    _pipeline.cache_clear()
+    for l_max in (1, 4):
+        for delay_m in (0.0, 2.5):
+            run_pipeline(hybrid_eraser_config(l_max=l_max, delay_m=delay_m))
+    # one map for arm A's q-plate, fiber and wave plate
+    info = experiment._arm_map.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+
+
+def test_cached_arm_map_is_read_only(canonical_config):
+    image, _ = experiment._arm_map(canonical_config.elements_a)
+    label = (POL_H, 1, POL_H, -1)
+    entry = image(label)
+    with pytest.raises(TypeError):
+        entry[0] = 0.0
+    with pytest.raises(TypeError):
+        entry[3][0] = ((POL_V, 0, POL_H, -1), 1.0)
+    # one walk per label, shared by every later lookup and every config
+    assert image(label) is entry
+    assert experiment._arm_map(canonical_config.elements_a)[0](label) is entry
+
+
+def test_gaussian_width_whose_square_underflows_is_not_built_flat():
+    """``2 sigma_ell^2`` is 0.0 below about 1.5e-162: the spectrum stays gaussian
+    and its division by that square fails, rather than giving a flat state."""
+    with pytest.raises(ZeroDivisionError):
+        build_source_state(SourceSpec(l_max=1, spectrum="gaussian", sigma_ell=1e-170))
 
 
 def test_null_pipeline_names_the_element():

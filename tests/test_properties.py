@@ -25,6 +25,7 @@ from oam_eraser.elements import (
     WavePlateSpec,
     apply_element,
     element_name,
+    element_operator,
 )
 from oam_eraser import experiment
 from oam_eraser.analysis import exact_fringes
@@ -34,7 +35,6 @@ from oam_eraser.experiment import (
     NullOutcomeError,
     SourceSpec,
     _count_coincidences,
-    analyzer_probabilities,
     causal_order_probability,
 )
 from oam_eraser.hilbert import (
@@ -49,7 +49,7 @@ from oam_eraser.hilbert import (
 
 import parent_kernel
 from conftest import greedy_coincidences
-from states import normalized, pol, product, project
+from states import analyzer_probabilities, normalized, pol, product, project
 
 pols = st.sampled_from((POL_H, POL_V))
 labels = st.tuples(pols, st.integers(-4, 4), pols, st.integers(-4, 4))
@@ -226,6 +226,9 @@ def test_emit_parse_emit_is_a_fixed_point(run):
 # unless the element's probability is checked before it is tracked
 @example(ExperimentConfig(source=SourceSpec(l_max=29),
                           elements_b=(PolarizerSpec(0.0, arm="B"),)))
+# one post-selection on each arm
+@example(ExperimentConfig(source=SourceSpec(l_max=2), elements_a=(PolarizerSpec(0.3),),
+                          elements_b=(PolarizerSpec(0.9, arm="B"),)))
 def test_pipeline_probability_is_the_product_of_the_element_probabilities(config):
     try:
         _, probability = experiment.run_pipeline(config)
@@ -259,6 +262,36 @@ def build_outcome(build, config):
     return list(state.amplitudes.items()), state.norm_tracked
 
 
+def rounding_bounds(config, probability):
+    """How far two builds of one pipeline state, rounding apart, can put each
+    amplitude and the tracked probability (the derivation is in CHANGES.md).
+
+    An element of ``t`` operator terms sends a label to at most ``2 t`` labels,
+    so each source term reaches an output label along at most ``K`` paths, ``K``
+    the product of ``2 t`` over the elements.  Every factor on a path (the
+    source amplitude, the operator entries) has modulus at most 1 and the source
+    amplitudes' squares sum to 1, so the moduli of the paths into one label, or
+    into all of them, sum to at most ``sqrt(S) K`` for ``S`` source terms.
+    Every sum either build makes has at most ``n = S K + d + 4`` terms and
+    factors (``d`` elements), so it errs by at most ``gamma_n`` times its sum of
+    moduli (Higham 2002, section 3.1).  That puts each build within ``3 gamma_n
+    S K^2`` of the exact probability ``p`` and, after the normalization by
+    ``1/sqrt(p)``, within ``3 gamma_n S K^2 / p`` of an exact amplitude; the
+    bounds are twice those."""
+    specs = [s for s in config.elements_a + config.elements_b
+             if not isinstance(s, DelaySpec)]
+    paths = math.prod(2 * len(element_operator(s)[0]) for s in specs)
+    sources = 2 if config.source.kind == "generic_two_path" else 2 * config.source.l_max + 1
+    n = sources * paths + len(specs) + 4
+    if n * UNIT_ROUNDOFF >= 0.5:
+        return math.inf, math.inf
+    growth = n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF) * sources * paths ** 2
+    return 6 * growth / probability, 6 * growth
+
+
+#: half the gap between 1.0 and the next double
+UNIT_ROUNDOFF = 2.0 ** -53
+
 canonical_arm_a = experiment.hybrid_eraser_config().elements_a
 
 
@@ -274,11 +307,39 @@ canonical_arm_a = experiment.hybrid_eraser_config().elements_a
 # the l = +-30 terms cannot reach the fiber, but shift past L_CAP on the way
 @example(ExperimentConfig(source=SourceSpec(l_max=30), elements_a=(
     QPlateSpec(q=1.5), FiberSpec(accepted_ell=0))))
-def test_pruned_build_is_the_full_element_walk(config):
-    """Dropping the source terms that cannot reach arm A's fiber changes no
-    amplitude, no key order, no tracked probability and no error."""
-    assert build_outcome(lambda c: experiment.run_pipeline(c)[0], config) == \
-        build_outcome(element_walk, config)
+# the l = +-3 terms are about 1.5e-15: past the polarizer the walk prunes part
+# of them, which an arm map, pruned for a unit input, keeps
+@example(ExperimentConfig(source=SourceSpec(l_max=3, spectrum="gaussian", sigma_ell=0.3631),
+                          elements_a=(PolarizerSpec(1.0),)))
+# arm A sends the terms l = -2 and 2 to one label, and on arm B the term l = -2
+# leaves a rounding residue on the label the term l = 2 fills: the walk sums
+# them, so the residue's term sets the label's place, and a build with an
+# element on arm B walks
+@example(ExperimentConfig(
+    source=SourceSpec(l_max=2, spectrum="gaussian", sigma_ell=1000.0),
+    elements_a=(QPlateSpec(q=1.0),) * 3,
+    elements_b=(WavePlateSpec("half", 2.5896291937959592, arm="B"),
+                QPlateSpec(q=1.0, arm="B"), QPlateSpec(q=1.0, arm="B"))))
+# the polarizer passes 1% of the amplitude and the half-wave plate turns it to
+# within 1e-14 of H: the walk, renormalized, keeps a V amplitude of 1e-14 that
+# the map, unnormalized, prunes at 1e-16
+@example(ExperimentConfig(source=SourceSpec(l_max=0), elements_a=(
+    PolarizerSpec(math.pi / 2 - 0.01), WavePlateSpec("half", 0.7803981633974533))))
+def test_composed_build_is_the_element_walk(config):
+    """A build through arm A's cached map gives the element walk's keys in its
+    order, and its amplitudes and tracked probability to within rounding; a
+    build that walks the elements gives the walk's outcome, error and message
+    included, exactly."""
+    got = build_outcome(lambda c: experiment.run_pipeline(c)[0], config)
+    want = build_outcome(element_walk, config)
+    if experiment._composed(config.source, config.elements_a, config.elements_b) is None:
+        assert got == want
+        return
+    (got_amps, got_p), (want_amps, want_p) = got, want
+    assert [k for k, _ in got_amps] == [k for k, _ in want_amps]
+    amp_bound, p_bound = rounding_bounds(config, want_p)
+    assert abs(got_p - want_p) <= p_bound
+    assert max(abs(a - b) for (_, a), (_, b) in zip(got_amps, want_amps)) <= amp_bound
 
 
 #: every subcommand on a config file; ``fit`` reads the scan-theta CSV
