@@ -10,9 +10,9 @@ azimuthal hologram; the conditional coincidence probability follows
 
 exactly for the ideal configuration, which the test suite pins on a grid.
 
-A pipeline state passes the source terms through arm A's elements composed once
-into a cached linear map, and walks the elements in order only where that could
-differ from the walk (:func:`_composed`), elements on arm B among those cases.
+A pipeline state is one pass of the source terms through both arms' elements,
+composed once into a cached linear map (:func:`_elements_map`); element-by-element
+application (:func:`~oam_eraser.elements.apply_element`) is not a build path.
 Every analyzer probability is a state's 3x4 fringe matrix ``F``, cached
 read-only for pipeline states, read at the polarizer's tilted angle (one angle in
 Python floats, many in one real product), then times the rows ``(1, cos 2theta,
@@ -94,8 +94,12 @@ class SourceSpec:
             raise ValueError("l_max outside [0, OAM cap]")
         if self.spectrum not in ("flat", "gaussian"):
             raise ValueError(f"unknown spectrum {self.spectrum!r}")
-        if self.spectrum == "gaussian" and not (self.sigma_ell and self.sigma_ell > 0):
-            raise ValueError("gaussian spectrum needs sigma_ell > 0")
+        # the build divides by 2 sigma_ell^2, which is 0.0 below about 1.5e-162,
+        # and sigma_ell^2 overflows above about 1.3e154
+        if self.spectrum == "gaussian" and not (
+                self.sigma_ell and 0.0 < self.sigma_ell < 1e150 and 2.0 * self.sigma_ell ** 2):
+            raise ValueError("gaussian spectrum needs sigma_ell in (0, 1e150) "
+                             f"with 2 sigma_ell^2 above 0.0, got {self.sigma_ell!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,80 +308,59 @@ def build_source_state(source: SourceSpec) -> JointKet:
 
 
 @lru_cache(maxsize=128)
-def _arm_map(specs: tuple) -> tuple:
-    """Arm A's elements, delays left out, as ``(image, number of post-selections)``:
+def _elements_map(specs: tuple) -> tuple:
+    """Both arms' elements, delays left out, as ``(image, number of post-selections)``:
     ``image(label)`` walks a unit source label through them once, as the element
-    walk would but with projections unnormalized, to a shared read-only ``(kept,
-    dropped, at_post, items)``: the least amplitude kept and the largest pruned,
-    the amplitudes just past the post-selection, and the image's ``(label,
-    amplitude)`` pairs; to ``()`` if it dies with nothing pruned, ``None`` past ``L_CAP``."""
-    ops = [el.element_operator(spec) for spec in specs]
+    walk would but with projections unnormalized, to a shared read-only tuple of
+    stages, each a tuple of ``(label, amplitude)`` pairs: the amplitudes just past
+    each post-selection, then the image's.  A label pushed past ``L_CAP`` keeps only
+    the stages it reached before that element."""
+    ops = [(spec.arm, *el.element_operator(spec)) for spec in specs]
 
     @cache
-    def image(label: tuple):
-        amps, kept, dropped, at_post = {label: 1.0 + 0.0j}, 1.0, 0.0, ()
+    def image(label: tuple) -> tuple:
+        amps, stages = {label: 1.0 + 0.0j}, []
         try:
-            for terms, post in ops:
-                out = local_sums(terms, "A", amps)
-                amps = _prune(out)
-                kept = min([kept, *map(abs, amps.values())])
-                dropped = max([dropped, *(abs(x) for k, x in out.items() if k not in amps)])
-                at_post = tuple(amps.values()) if post else at_post
+            for arm, terms, post in ops:
+                amps = _prune(local_sums(terms, arm, amps))
+                if post:
+                    stages.append(tuple(amps.items()))
         except OamOverflowError:
-            return None
-        return (kept, dropped, at_post, tuple(amps.items())) if amps or dropped else ()
+            return tuple(stages)
+        return (*stages, tuple(amps.items()))
 
-    return image, sum(post for _, post in ops)
-
-
-def _composed(source: SourceSpec, elements_a: tuple, elements_b: tuple):
-    """``(amplitudes, probability)`` from one pass of the source terms through arm
-    A's map, or ``None`` where that could differ from the element walk: an element
-    on arm B other than a delay, more than one post-selection, an overflow, an
-    amplitude within a factor 2 of ``PRUNE_TOL`` in the walk's scale, or ``p``
-    below twice ``NULL_TOL``.  Else each term keeps its own arm-B label, so the
-    pass makes the walk's keys in its order and sums its ``p`` in its order."""
-    if not all(isinstance(spec, el.DelaySpec) for spec in elements_b):
-        return None
-    image, posts = _arm_map(tuple(s for s in elements_a if not isinstance(s, el.DelaySpec)))
-    if posts > 1:
-        return None
-    out, p, kept, dropped = {}, 0.0, 1.0, 0.0
-    for label, a in _source_terms(source):
-        record = image(label)
-        if record is None:
-            return None
-        if record:
-            least, most, at_post, items = record
-            kept, dropped = min(kept, a * least), max(dropped, a * most)
-            for x in at_post:
-                p += abs(a * x) ** 2
-            for k, x in items:
-                out[k] = a * x
-    if not posts:
-        p = 1.0
-    elif p < 2.0 * NULL_TOL:
-        return None  # the walk names the element that empties the state
-    scale = 1.0 / math.sqrt(p)
-    # past the post-selection the walk scales what the map drops by 1/sqrt(p)
-    if kept < 2.0 * PRUNE_TOL or 2.0 * dropped * scale >= PRUNE_TOL:
-        return None
-    return {k: v * scale for k, v in out.items()}, checked_probability(p)
+    return image, sum(post for _, _, post in ops)
 
 
 @lru_cache(maxsize=128)
 def _pipeline(source: SourceSpec, elements_a: tuple, elements_b: tuple):
-    composed = _composed(source, elements_a, elements_b)
-    if composed is None:  # the pass could differ from the walk, so walk the elements
-        state = build_source_state(source)
-        for arm, elems in (("A", elements_a), ("B", elements_b)):
-            for i, spec in enumerate(elems):
-                state, _ = el.apply_element(spec, state)
-                if state is None:
-                    raise NullOutcomeError(f"{el.element_name(spec)}[{arm}:{i}]")
-        composed = state.amplitudes, state.norm_tracked
-    amplitudes, p = composed
+    image, posts = _elements_map(tuple(spec for spec in elements_a + elements_b
+                                       if not isinstance(spec, el.DelaySpec)))
+    terms = [(a, image(label)) for label, a in _source_terms(source)]
+    p = scale = 1.0
+    for k in range(posts + 1):
+        out = {}  # terms that meet on one label are summed there
+        for a, stages in terms:
+            if len(stages) == k:  # this term's label overflowed before stage k
+                raise OamOverflowError("OAM support overflow")
+            for label, x in stages[k]:
+                out[label] = out.get(label, 0.0) + a * x
+        if k == posts:
+            break
+        # post-selection k's own probability: the squared norm of what passes it,
+        # at the scale the walk's state, renormalized at each one, would have
+        passed = 0.0
+        for x in out.values():
+            passed += abs(x * scale) ** 2
+        if passed < NULL_TOL:
+            named = [f"{el.element_name(spec)}[{spec.arm}:{i}]"
+                     for specs in (elements_a, elements_b)
+                     for i, spec in enumerate(specs) if el.element_operator(spec)[1]]
+            raise NullOutcomeError(named[k])
+        scale *= 1.0 / math.sqrt(passed)
+        p = checked_probability(p * checked_probability(passed))
     # every caller shares the cached state, so hand out a read-only view
+    amplitudes = _prune({label: x * scale for label, x in out.items()})
     return JointKet(MappingProxyType(amplitudes), p), p
 
 
@@ -387,10 +370,11 @@ def run_pipeline(config: ExperimentConfig):
     Returns ``(state, cumulative_probability)`` where the cumulative
     probability is ``state.norm_tracked``, the product of every
     post-selection success along the way.  The source terms pass through
-    arm A's cached linear map in one go; where that could differ from the
-    element walk (:func:`_composed`), the elements are walked in order.  The
-    state is cached per ``(source, elements_a, elements_b)`` and its
-    amplitudes are read-only.
+    both arms' cached linear map in one go, summed where they meet, then are
+    normalized and pruned once.  A post-selection that passes less than
+    ``NULL_TOL`` of what reaches it raises :class:`NullOutcomeError` naming it
+    ``name[arm:index]``, delays counted.  The state is cached per ``(source,
+    elements_a, elements_b)`` and its amplitudes are read-only.
     """
     return _pipeline(config.source, config.elements_a, config.elements_b)
 

@@ -99,31 +99,36 @@ MUTANTS = (
     Mutant("transmission-leak-sign", "oam_eraser/elements.py",
            "(sa + e * ca) * scale", "(sa - e * ca) * scale",
            (f"{PROPS}::test_analyzer_identity",)),
-    # the pipeline through arm A's cached map
+    # the pipeline: one pass of the source terms through both arms' cached map
     Mutant("arm-map-keyed-on-delays", EXP,
-           "tuple(s for s in elements_a if not isinstance(s, el.DelaySpec))", "elements_a",
+           "\n                                       if not isinstance(spec, el.DelaySpec)))",
+           "))",
            ("tests/test_experiment.py::test_configs_that_differ_in_source_or_delay_share_one_arm_map",)),
     Mutant("arm-a-images-on-arm-b", EXP,
-           'local_sums(terms, "A", amps)', 'local_sums(terms, "B", amps)',
+           "local_sums(terms, arm, amps)", 'local_sums(terms, "B", amps)',
            ("tests/test_experiment.py::test_canonical_pipeline_reaches_marked_pair",)),
-    Mutant("arm-b-elements-composed", EXP,
-           "if not all(isinstance(spec, el.DelaySpec) for spec in elements_b):", "if False:",
-           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
+    Mutant("arm-b-elements-on-arm-a", EXP,
+           "(spec.arm, *el.element_operator(spec))", '("A", *el.element_operator(spec))',
+           (f"{PROPS}::test_pipeline_build_is_the_element_walk",)),
     Mutant("map-not-normalized", EXP,
-           "scale = 1.0 / math.sqrt(p)", "scale = 1.0",
+           "scale *= 1.0 / math.sqrt(passed)", "scale *= 1.0",
            ("tests/test_experiment.py::test_canonical_pipeline_reaches_marked_pair",)),
-    Mutant("null-rewalk-dropped", EXP,
-           "elif p < 2.0 * NULL_TOL:", "elif p < 0.0:",
-           ("tests/test_experiment.py::test_null_pipeline_names_the_element",)),
-    Mutant("overflow-rewalk-dropped", EXP,
-           "        if record is None:\n            return None\n", "",
-           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
-    Mutant("kept-guard-dropped", EXP,
-           "if kept < 2.0 * PRUNE_TOL or ", "if ",
-           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
-    Mutant("dropped-guard-unscaled", EXP,
-           "2.0 * dropped * scale >= PRUNE_TOL", "2.0 * dropped >= PRUNE_TOL",
-           (f"{PROPS}::test_composed_build_is_the_element_walk",)),
+    Mutant("post-amplitudes-per-term", EXP,
+           "for x in out.values():\n            passed += abs(x * scale) ** 2",
+           "for x in (a * x for a, stages in terms for _, x in stages[k]):\n"
+           "            passed += abs(x * scale) ** 2",
+           (f"{PROPS}::test_pipeline_build_is_the_element_walk",)),
+    Mutant("null-rule-cumulative", EXP,
+           "if passed < NULL_TOL:", "if passed * p < NULL_TOL:",
+           ("tests/test_experiment.py::test_null_pipeline_names_the_element[each-passes-its-share]",)),
+    Mutant("final-prune-dropped", EXP,
+           "amplitudes = _prune({label: x * scale for label, x in out.items()})",
+           "amplitudes = {label: x * scale for label, x in out.items()}",
+           (f"{PROPS}::test_pipeline_build_is_the_element_walk",)),
+    Mutant("null-index-skips-delays", EXP,
+           "for i, spec in enumerate(specs) if",
+           "for i, spec in enumerate(s for s in specs if not isinstance(s, el.DelaySpec)) if",
+           ("tests/test_experiment.py::test_null_pipeline_names_the_element[after-a-delay]",)),
     # the exact fringe
     Mutant("fringe-phase-sign", ANA,
            "math.atan2(y, x)", "math.atan2(-y, x)",

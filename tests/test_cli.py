@@ -127,6 +127,19 @@ def test_a_negative_counting_delay_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# 2 sigma_ell^2 underflows to 0.0 at the one width and sigma_ell^2 overflows at
+# the other: the build would divide by zero or raise OverflowError
+@pytest.mark.parametrize("sigma", ["1e-170", "1e200"])
+def test_a_gaussian_width_the_build_cannot_square_is_a_config_error(tmp_path, capsys, sigma):
+    path = tmp_path / "width.cfg"
+    path.write_text(f"[source]\nspectrum = gaussian\nsigma_l = {sigma}\n", encoding="utf-8")
+    assert main(["scan-theta", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: gaussian spectrum needs sigma_ell in (0, 1e150) with "
+        f"2 sigma_ell^2 above 0.0, got {float(sigma)!r} (line 1)\n")
+    assert not (tmp_path / "out").exists()
+
+
 #: every element kind, an explicit delay on each arm, a gaussian source and
 #: non-default analyzer, counting and scan keys, some out of canonical order
 FULL = """\

@@ -34,7 +34,7 @@ from oam_eraser.experiment import (
     theta_scan,
 )
 from oam_eraser import experiment, output
-from oam_eraser.analysis import exact_fringes
+from oam_eraser.analysis import exact_fringes, fit_sinusoid
 from oam_eraser.configio import RunSpec, ScanSpec
 from oam_eraser.hilbert import POL_H, POL_V, joint_ket
 from oam_eraser.output import events_csv, fmt
@@ -134,45 +134,71 @@ def test_cached_pipeline_state_is_read_only(canonical_config):
 
 
 def test_configs_that_differ_in_source_or_delay_share_one_arm_map():
-    experiment._arm_map.cache_clear()
+    experiment._elements_map.cache_clear()
     _pipeline.cache_clear()
     for l_max in (1, 4):
         for delay_m in (0.0, 2.5):
             run_pipeline(hybrid_eraser_config(l_max=l_max, delay_m=delay_m))
     # one map for arm A's q-plate, fiber and wave plate
-    info = experiment._arm_map.cache_info()
+    info = experiment._elements_map.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
 
 
 def test_cached_arm_map_is_read_only(canonical_config):
-    image, _ = experiment._arm_map(canonical_config.elements_a)
+    image, _ = experiment._elements_map(canonical_config.elements_a)
     label = (POL_H, 1, POL_H, -1)
     entry = image(label)
     with pytest.raises(TypeError):
-        entry[0] = 0.0
+        entry[0] = ()
     with pytest.raises(TypeError):
-        entry[3][0] = ((POL_V, 0, POL_H, -1), 1.0)
+        entry[-1][0] = ((POL_V, 0, POL_H, -1), 1.0)
     # one walk per label, shared by every later lookup and every config
     assert image(label) is entry
-    assert experiment._arm_map(canonical_config.elements_a)[0](label) is entry
+    assert experiment._elements_map(canonical_config.elements_a)[0](label) is entry
 
 
 def test_gaussian_width_whose_square_underflows_is_not_built_flat():
-    """``2 sigma_ell^2`` is 0.0 below about 1.5e-162: the spectrum stays gaussian
-    and its division by that square fails, rather than giving a flat state."""
-    with pytest.raises(ZeroDivisionError):
-        build_source_state(SourceSpec(l_max=1, spectrum="gaussian", sigma_ell=1e-170))
+    """``2 sigma_ell^2`` is 0.0 below about 1.5e-162: such a width is rejected
+    where the spec is made, rather than giving a flat state."""
+    with pytest.raises(ValueError, match="sigma_ell"):
+        SourceSpec(l_max=1, spectrum="gaussian", sigma_ell=1e-170)
 
 
-def test_null_pipeline_names_the_element():
-    config = ExperimentConfig(
-        source=SourceSpec(l_max=1),
-        elements_a=(QPlateSpec(q=0.5, arm="A"),
-                    FiberSpec(arm="A", accepted_ell=9)),
-    )
+@pytest.mark.parametrize("config, element", [
+    pytest.param(ExperimentConfig(source=SourceSpec(l_max=1), elements_a=(
+        QPlateSpec(q=0.5, arm="A"), FiberSpec(arm="A", accepted_ell=9))),
+        "fiber[A:1]", id="arm-a-fiber"),
+    pytest.param(ExperimentConfig(source=SourceSpec(l_max=1), elements_b=(
+        QPlateSpec(q=0.5, arm="B"), FiberSpec(arm="B", accepted_ell=9))),
+        "fiber[B:1]", id="arm-b-fiber"),
+    # the index counts the delay, which the map leaves out
+    pytest.param(ExperimentConfig(source=SourceSpec(l_max=1), elements_a=(
+        DelaySpec(extra_path=1.0), FiberSpec(arm="A", accepted_ell=9))),
+        "fiber[A:1]", id="after-a-delay"),
+    # the fiber keeps only the l = -16 term, whose probability is about 1e-28,
+    # so the fiber is named, not the hologram that empties that term
+    pytest.param(ExperimentConfig(
+        source=SourceSpec(l_max=16, spectrum="gaussian", sigma_ell=2.0),
+        elements_a=(FiberSpec(arm="A", accepted_ell=-16),),
+        elements_b=(el.HologramSpec(ell=1, arm="B"),)),
+        "fiber[A:0]", id="gaussian-tail"),
+    # each polarizer passes 1e-8 of what reaches it, above NULL_TOL, though
+    # together they pass 1e-16, below it
+    pytest.param(ExperimentConfig(
+        source=SourceSpec(l_max=0), elements_a=(PolarizerSpec(math.pi / 2 - 1e-4),),
+        elements_b=(PolarizerSpec(math.pi / 2 - 1e-4, arm="B"),)),
+        None, id="each-passes-its-share"),
+])
+def test_null_pipeline_names_the_element(config, element):
+    """A post-selection whose conditional probability is below ``NULL_TOL``
+    empties the state, and the error names it as ``name[arm:index]``, delays
+    counted; ``None`` marks a state that is built."""
+    if element is None:
+        assert run_pipeline(config)[1] == pytest.approx(9.99999993e-17, rel=1e-9)
+        return
     with pytest.raises(NullOutcomeError) as err:
         run_pipeline(config)
-    assert "fiber" in err.value.element
+    assert err.value.element == element
 
 
 # ---------------------------------------------------------------------------
@@ -1170,3 +1196,37 @@ def test_config_rejects_misplaced_elements():
     with pytest.raises(ValueError, match="arm"):
         ExperimentConfig(source=SourceSpec(),
                          elements_a=(PolarizerSpec(alpha=0.0, arm="B"),))
+
+
+_FOUR_SETTINGS = ScanSeries(settings=(0.0, 0.5, 1.0, 1.5), probabilities=(0.5,) * 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ExperimentConfig(source=SourceSpec(), elements_a=("qplate",)),
+                 TypeError, "not an element spec: 'qplate'", id="config-non-spec"),
+    pytest.param(lambda: ExperimentConfig(source=SourceSpec(),
+                                          analyzer_a=PolarizerSpec(0.0, arm="B")),
+                 ValueError, re.escape("analyzers must sit on arms A (polarizer) and B (hologram)"),
+                 id="config-analyzer-arm"),
+    pytest.param(lambda: CountingModel(singles_b=-1.0),
+                 ValueError, "rates must be non-negative", id="counting-negative-rate"),
+    pytest.param(lambda: CountingModel(integration_time=-1.0),
+                 ValueError, "integration time must be non-negative", id="counting-negative-time"),
+    pytest.param(lambda: ScanSeries(settings=(0.0, 1.0), probabilities=(0.5,)),
+                 ValueError, "probabilities length does not match settings", id="series-length"),
+    pytest.param(lambda: ScanSeries(settings=(0.0,), probabilities=(1.1,)),
+                 ValueError, re.escape("probabilities must lie in [0, 1]"), id="series-range"),
+    pytest.param(lambda: fit_sinusoid(_FOUR_SETTINGS, on="visibility"),
+                 ValueError, "unknown fit target 'visibility'", id="fit-unknown-target"),
+    pytest.param(lambda: fit_sinusoid(_FOUR_SETTINGS, on="counts"),
+                 ValueError, "series carries no counts", id="fit-missing-counts"),
+    pytest.param(lambda: causal_order_probability(hybrid_eraser_config(), 0.0, 0.0, "together"),
+                 ValueError, "unknown projection order 'together'", id="causal-unknown-order"),
+    pytest.param(lambda: exact_fringes(run_pipeline(hybrid_eraser_config())[0],
+                                       PolarizerSpec(0.0, arm="B"), el.HologramSpec(ell=1), [0.0]),
+                 ValueError, "polarizer and hologram must sit on different arms",
+                 id="fringes-one-arm"),
+])
+def test_public_guards_name_what_they_reject(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
