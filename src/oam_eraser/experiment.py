@@ -13,8 +13,8 @@ exactly for the ideal configuration, which the test suite pins on a grid.
 A pipeline state is one pass of the source terms through both arms' elements,
 composed once into a cached linear map (:func:`_elements_map`); element-by-element
 application (:func:`~oam_eraser.elements.apply_element`) is not a build path.
-Every analyzer probability is a state's 3x4 fringe matrix ``F``, cached
-read-only for pipeline states, read at the polarizer's tilted angle (one angle in
+Every analyzer probability is a state's 3x4 fringe matrix ``F``, the one cache of
+a pipeline build (read-only), read at the polarizer's tilted angle (one angle in
 Python floats, many in one real product), then times the rows ``(1, cos 2theta,
 -sin 2theta)`` (:func:`_analyzer_core`); :func:`causal_order_probability` stays
 on the sparse operators as a reference.
@@ -34,7 +34,6 @@ import threading
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, lru_cache
 from itertools import chain, repeat
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -332,7 +331,6 @@ def _elements_map(specs: tuple) -> tuple:
     return image, sum(post for _, _, post in ops)
 
 
-@lru_cache(maxsize=128)
 def _pipeline(source: SourceSpec, elements_a: tuple, elements_b: tuple):
     image, posts = _elements_map(tuple(spec for spec in elements_a + elements_b
                                        if not isinstance(spec, el.DelaySpec)))
@@ -359,22 +357,20 @@ def _pipeline(source: SourceSpec, elements_a: tuple, elements_b: tuple):
             raise NullOutcomeError(named[k])
         scale *= 1.0 / math.sqrt(passed)
         p = checked_probability(p * checked_probability(passed))
-    # every caller shares the cached state, so hand out a read-only view
-    amplitudes = _prune({label: x * scale for label, x in out.items()})
-    return JointKet(MappingProxyType(amplitudes), p), p
+    return JointKet(_prune({label: x * scale for label, x in out.items()})), p
 
 
 def run_pipeline(config: ExperimentConfig):
     """Apply all configured elements (not the analyzers).
 
     Returns ``(state, cumulative_probability)`` where the cumulative
-    probability is ``state.norm_tracked``, the product of every
-    post-selection success along the way.  The source terms pass through
-    both arms' cached linear map in one go, summed where they meet, then are
-    normalized and pruned once.  A post-selection that passes less than
-    ``NULL_TOL`` of what reaches it raises :class:`NullOutcomeError` naming it
-    ``name[arm:index]``, delays counted.  The state is cached per ``(source,
-    elements_a, elements_b)`` and its amplitudes are read-only.
+    probability is the product of every post-selection success along the
+    way.  The source terms pass through both arms' cached linear map in one
+    go, summed where they meet, then are normalized and pruned once.  A
+    post-selection that passes less than ``NULL_TOL`` of what reaches it
+    raises :class:`NullOutcomeError` naming it ``name[arm:index]``, delays
+    counted.  Each call builds a new state; only its fringe matrix is cached
+    (:func:`_config_moments`).
     """
     return _pipeline(config.source, config.elements_a, config.elements_b)
 

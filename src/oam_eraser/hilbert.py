@@ -78,13 +78,12 @@ class JointKet:
     """Two-photon state.
 
     ``amplitudes`` maps ``(pol_a, ell_a, pol_b, ell_b)`` to a complex
-    amplitude.  ``norm_tracked`` accumulates the success probability of
-    every non-unitary step (polarizer, fiber, hologram) applied so far;
-    the amplitudes themselves always stay normalized.
+    amplitude.  A state carries nothing else: the success probability of a
+    non-unitary step (polarizer, fiber, hologram) is returned by the step
+    that takes it, and the amplitudes stay normalized.
     """
 
     amplitudes: Mapping
-    norm_tracked: float = 1.0
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -129,11 +128,11 @@ def apply_local(terms: tuple, arm: str, state: JointKet) -> JointKet:
 
     Unitary operators preserve the norm; non-unitary ones generally do
     not, and callers that post-select should go through
-    :func:`postselect_local` to renormalize and track the probability.
+    :func:`postselect_local` to renormalize and read the probability.
     Raises :class:`OamOverflowError` when a term shifts an OAM index
     beyond ``L_CAP``.
     """
-    return JointKet(_prune(local_sums(terms, arm, state.amplitudes)), state.norm_tracked)
+    return JointKet(_prune(local_sums(terms, arm, state.amplitudes)))
 
 
 def local_sums(terms: tuple, arm: str, amplitudes: Mapping) -> dict:
@@ -166,8 +165,9 @@ def postselect_local(terms: tuple, arm: str, state: JointKet):
 
     Returns ``(state, probability)`` where the probability is the squared
     norm of the unnormalized result, checked into [0, 1] (rounding can
-    carry it past 1) before it enters ``norm_tracked``; a probability
-    below ``NULL_TOL`` yields ``(None, 0.0)`` (the null outcome).
+    carry it past 1); a probability below ``NULL_TOL`` yields ``(None,
+    0.0)`` (the null outcome).  A caller that chains post-selections
+    multiplies their probabilities itself.
     """
     raw = apply_local(terms, arm, state)
     p = sum(abs(a) ** 2 for a in raw.amplitudes.values())
@@ -175,8 +175,7 @@ def postselect_local(terms: tuple, arm: str, state: JointKet):
         return None, 0.0
     scale = 1.0 / math.sqrt(p)
     amps = _prune({k: a * scale for k, a in raw.amplitudes.items()})
-    p = checked_probability(p)
-    return JointKet(amps, checked_probability(state.norm_tracked * p)), p
+    return JointKet(amps), checked_probability(p)
 
 
 def format_state(state: JointKet) -> str:

@@ -122,8 +122,8 @@ MUTANTS = (
            "if passed < NULL_TOL:", "if passed * p < NULL_TOL:",
            ("tests/test_experiment.py::test_null_pipeline_names_the_element[each-passes-its-share]",)),
     Mutant("final-prune-dropped", EXP,
-           "amplitudes = _prune({label: x * scale for label, x in out.items()})",
-           "amplitudes = {label: x * scale for label, x in out.items()}",
+           "JointKet(_prune({label: x * scale for label, x in out.items()}))",
+           "JointKet({label: x * scale for label, x in out.items()})",
            (f"{PROPS}::test_pipeline_build_is_the_element_walk",)),
     Mutant("null-index-skips-delays", EXP,
            "for i, spec in enumerate(specs) if",
@@ -224,8 +224,8 @@ MUTANTS = (
            ("tests/test_hilbert.py::test_project_bell_onto_right_circular_collapses_partner",
             "tests/test_properties.py::test_project_matches_a_dense_contraction")),
     Mutant("postselect-probability-unchecked", "oam_eraser/hilbert.py",
-           "    p = checked_probability(p)\n", "",
-           (f"{PROPS}::test_pipeline_probability_is_the_product_of_the_element_probabilities",)),
+           "return JointKet(amps), checked_probability(p)", "return JointKet(amps), p",
+           ("tests/test_hilbert.py::test_probabilities_are_checked_not_clamped",)),
     Mutant("apply-local-key-order", "oam_eraser/hilbert.py",
            "for pol_out in (POL_H, POL_V):", "for pol_out in (POL_V, POL_H):",
            ("tests/test_hilbert.py::test_output_labels_follow_input_then_term_then_polarization",)),

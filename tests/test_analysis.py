@@ -661,6 +661,7 @@ def test_azimuthal_lobe_count(ell):
 def test_single_mode_ring_is_flat():
     pattern = render_azimuthal_pattern(3, 0.0, 64, weights=(1.0, 0.0))
     assert np.allclose(pattern, 1.0, atol=1e-12)
+    assert count_azimuthal_lobes(np.ones(64)) == 0  # an exactly flat ring has no maxima
 
 
 def test_azimuthal_pattern_matches_cosine():

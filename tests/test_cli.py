@@ -12,6 +12,7 @@ from oam_eraser.cli import main
 from oam_eraser.configio import ConfigError, emit_config, parse_config
 from oam_eraser.elements import FiberSpec, QPlateSpec, WavePlateSpec
 from oam_eraser.experiment import run_pipeline
+from oam_eraser.output import line_plot_svg
 
 from conftest import marked_pair
 from states import overlap
@@ -652,6 +653,16 @@ def test_counted_scan_alpha_on_the_demo_config_is_reproducible_and_erases(tmp_pa
         alpha, vis, offset = (float(cell) for cell in row.split(",")[:3])
         want = abs(math.sin(2 * alpha))
         assert abs(vis - want) <= 5 * (2 + want) / math.sqrt(points * offset)
+    # one angle: the plot's x axis spans a single value, drawn one unit wide
+    one = tmp_path / "one.cfg"
+    one.write_text(DEMO_CONFIG.read_text(encoding="utf-8").replace(
+        "alpha_points = 9", "alpha_points = 1"), encoding="utf-8")
+    assert main(["scan-alpha", str(one), "--svg", "--out-dir", str(tmp_path / "one")]) == 0
+    svg = (tmp_path / "one" / "scan_alpha.svg").read_text()
+    assert 'polyline points="56.000,' in svg and "nan" not in svg
+    # an all-zero series: the y axis spans one unit up from 0
+    flat = line_plot_svg([0.0, 1.0], [0.0, 0.0], "flat")
+    assert 'polyline points="56.000,344.000 584.000,344.000"' in flat
 
 
 #: the demo config with accidentals on both arms, an arm-A delay and a 2 µs

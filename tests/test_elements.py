@@ -274,6 +274,8 @@ def test_mask_rotation_applies_phase_shift():
     rotated = binary_mask_overlap(4, math.pi / 4, 2, 0)
     ratio = rotated / base
     assert ratio == pytest.approx(cmath.exp(1j * math.pi / 2), abs=1e-9)
+    # a cut within 1e-13 of 0 leaves a piece too thin to integrate
+    assert binary_mask_overlap(4, 1e-14, 2, 0) == pytest.approx(base, abs=1e-12)
 
 
 def test_binary_coupling_cache_matches_quadrature():

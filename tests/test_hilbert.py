@@ -180,12 +180,6 @@ def test_born_completeness_over_local_basis():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_project_tracks_success_probability():
-    state = bell_circular()
-    post, prob = project(state, "A", pol("R"))
-    assert post.norm_tracked == pytest.approx(prob, abs=1e-12)
-
-
 def test_probabilities_are_checked_not_clamped():
     assert checked_probability(1.0 + 1e-15) == 1.0
     assert checked_probability(-1e-15) == 0.0
@@ -194,10 +188,10 @@ def test_probabilities_are_checked_not_clamped():
     for bad in (1.0 + 1e-9, -1e-9, np.array([0.5, 1.0 + 1e-9]), math.nan):
         with pytest.raises(ValueError, match="outside"):
             checked_probability(bad)
-    # the running success probability is checked on every post-selection
-    with pytest.raises(ValueError, match="outside"):
-        postselect_local(((POL_IDENTITY, None, 0),), "A",
-                         JointKet({(POL_H, 0, POL_H, 0): 1.0 + 0j}, 1.5))
+    # a post-selection's probability is checked: here its square rounds past 1
+    _, p = postselect_local(((POL_IDENTITY, None, 0),), "A",
+                            JointKet({(POL_H, 0, POL_H, 0): complex(1.0 + 2 ** -52)}))
+    assert p == 1.0
 
 
 # ---------------------------------------------------------------------------

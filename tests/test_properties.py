@@ -45,6 +45,7 @@ from oam_eraser.hilbert import (
     POL_V,
     PRUNE_TOL,
     OamOverflowError,
+    checked_probability,
     joint_ket,
     local_sums,
 )
@@ -139,7 +140,6 @@ def test_project_matches_a_dense_contraction(state, target, arm):
         assert p == 0.0 and prob < 2 * NULL_TOL
         return
     assert p == pytest.approx(prob, abs=1e-12)
-    assert post.norm_tracked == pytest.approx(prob, abs=1e-12)
     want = np.multiply.outer(t, rest)
     if arm == "B":
         want = want.transpose(2, 3, 0, 1)
@@ -224,49 +224,105 @@ def test_emit_parse_emit_is_a_fixed_point(run):
 
 @no_deadline
 @given(configs)
-# 59 flat source terms: their squares sum to 1 + 2.4e-15, past the bound
-# unless the element's probability is checked before it is tracked
+# 59 flat source terms: their squares sum to 1 + 2.4e-15, which each build
+# checks to 1
 @example(ExperimentConfig(source=SourceSpec(l_max=29),
                           elements_b=(PolarizerSpec(0.0, arm="B"),)))
 # one post-selection on each arm
 @example(ExperimentConfig(source=SourceSpec(l_max=2), elements_a=(PolarizerSpec(0.3),),
                           elements_b=(PolarizerSpec(0.9, arm="B"),)))
+# 102 and then 204 squares past the two leaky polarizers: the builds differ by
+# 1.44e-15, past an absolute 1e-15
+@example(ExperimentConfig(
+    source=SourceSpec(l_max=25),
+    elements_a=(PolarizerSpec(-999.9999999999999, 0.4711473983130311),),
+    elements_b=(PolarizerSpec(-999.9999999999999, 0.4711473983130311, arm="B"),)))
+# the wave plate turns 1e-15 of each term to V, which the walk prunes and the
+# pass keeps, and the polarizer mixes it back: 1.83e-15 apart
+@example(ExperimentConfig(
+    source=SourceSpec(kind="generic_two_path"), elements_a=(QPlateSpec(q=0.5),),
+    elements_b=(WavePlateSpec("half", 1e-15, arm="B"), PolarizerSpec(1.0, arm="B"))))
 def test_pipeline_probability_is_the_product_of_the_element_probabilities(config):
+    """The pipeline's probability is the product of the element walk's step
+    probabilities, to within what two roundings and two prunings of one
+    product allow.
+
+    In the pass's frame the state is not renormalized: it starts at unit norm,
+    and its squared norm after a post-selection is the product ``P`` of the
+    probabilities so far.  Every element is unitary or a projection, so none
+    grows a perturbation in this frame.
+
+    - Sums.  Each build reads post-selection ``k``'s probability ``p_k`` as a
+      sum of ``m_k`` squares, which errs by at most about ``m_k u p_k``
+      (recursive summation, Higham 2002, section 4.2; ``u`` the unit
+      roundoff).  The amplitudes it squares carry the rounding of the ``e_k``
+      elements applied so far, about ``e_k u`` of the unit state's norm, and
+      ``p_k`` is the square of their norm ``sqrt(p_k)``, which adds ``2 e_k u
+      sqrt(p_k)``: the larger term where a post-selection passes little of
+      what reaches it, by cancellation.
+    - Pruning.  Each build drops amplitudes below ``PRUNE_TOL`` at its own
+      scale, which in this frame is at most ``PRUNE_TOL`` for both: the
+      walk's shrinks by ``sqrt(P)``, the pass's by the source amplitude.  So
+      what either drops at an element lies among the amplitudes the walk
+      emits there below ``2 PRUNE_TOL`` in this frame (twice, for what the
+      builds already differ by), and where source terms meet, the pass drops
+      a piece per term from any label.  A dropped norm ``d`` moves ``P`` by at
+      most ``2 d sqrt(P)``.
+
+    So each build's product is within ``P`` times the sum over post-selections
+    of ``(m_k + 2 e_k / sqrt(p_k)) u``, plus ``2 d sqrt(P)``, of the exact one,
+    and the two builds are within twice that of each other."""
     try:
         _, probability = experiment.run_pipeline(config)
     except (NullOutcomeError, OamOverflowError):
         assume(False)
     state, product = experiment.build_source_state(config.source), 1.0
+    pieces = len(state.amplitudes) if source_terms_meet(config) else 1
+    summed = dropped = 0.0
+    elements = 0
     for spec in config.elements_a + config.elements_b:
+        terms, post_selects = element_operator(spec)
+        if terms is None:
+            continue
+        emitted = [abs(a) * math.sqrt(product)
+                   for a in local_sums(terms, spec.arm, state.amplitudes).values()]
         state, prob = apply_element(spec, state)
         product *= prob
-    assert abs(probability - product) <= 1e-15
+        elements += 1
+        small = sum(a < 2 * PRUNE_TOL for a in emitted) if pieces == 1 else len(emitted) * pieces
+        dropped += math.sqrt(small) * PRUNE_TOL
+        if post_selects:
+            summed += (len(state.amplitudes) + 2 * elements / math.sqrt(prob)) * UNIT_ROUNDOFF
+    bound = 2 * product * (summed + 2 * dropped / math.sqrt(product))
+    assert abs(probability - product) <= bound
 
 
 def element_walk(config):
-    """The pipeline state from the full source, element by element, raising
-    what ``run_pipeline`` raises."""
-    state = experiment.build_source_state(config.source)
+    """``(state, probability)`` of the pipeline from the full source, element by
+    element, raising what ``run_pipeline`` raises; the probability is the
+    product of the steps', checked at each step."""
+    state, tracked = experiment.build_source_state(config.source), 1.0
     for arm, specs in (("A", config.elements_a), ("B", config.elements_b)):
         for i, spec in enumerate(specs):
-            state, _ = apply_element(spec, state)
+            state, p = apply_element(spec, state)
             if state is None:
                 raise NullOutcomeError(f"{element_name(spec)}[{arm}:{i}]")
-    return state
+            tracked = checked_probability(tracked * p)
+    return state, tracked
 
 
 def build_outcome(build, config):
-    """The amplitudes in key order and ``norm_tracked``, or the error."""
+    """The amplitudes in key order and the probability, or the error."""
     try:
-        state = build(config)
+        state, probability = build(config)
     except (NullOutcomeError, OamOverflowError) as exc:
         return type(exc), str(exc)
-    return list(state.amplitudes.items()), state.norm_tracked
+    return list(state.amplitudes.items()), probability
 
 
 def rounding_bounds(config, probability):
     """How far two builds of one pipeline state, rounding apart, can put each
-    amplitude and the tracked probability (the derivation is in CHANGES.md).
+    amplitude and the probability (the derivation is in CHANGES.md).
 
     An element of ``t`` operator terms sends a label to at most ``2 t`` labels,
     so each source term reaches an output label along at most ``K`` paths, ``K``
@@ -358,13 +414,13 @@ def source_terms_meet(config):
     elements_b=(HologramSpec(ell=1, theta=0.4, arm="B"), PolarizerSpec(0.9, arm="B"))))
 def test_pipeline_build_is_the_element_walk(config):
     """The pipeline build raises what the element walk raises, with its message.
-    Otherwise its tracked probability and the amplitudes both builds hold are
+    Otherwise its probability and the amplitudes both builds hold are
     the walk's to within rounding, every amplitude is pruned, and a key one
     build holds alone is small: the walk prunes at its renormalized scale after
     every element, so what it drops reaches the end at most ``PRUNE_TOL /
     sqrt(p)`` large.  Unless two source terms meet on one label, the keys both
     builds hold come in one order."""
-    got = build_outcome(lambda c: experiment.run_pipeline(c)[0], config)
+    got = build_outcome(experiment.run_pipeline, config)
     want = build_outcome(element_walk, config)
     if isinstance(got[0], type) or isinstance(want[0], type):
         assert got == want
